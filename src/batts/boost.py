@@ -4,13 +4,13 @@ with shrinkage, one-group pruning, and cross-validated tree-count selection."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
 from .loss import check_log_weights, optimal_leaf_value
-from .tree import DecisionTree, Node
+from .tree import DecisionTree
 
 _LOSS_SLACK = 1e-12
 
@@ -38,17 +38,33 @@ class BoostConfig:
             raise ValueError("min_leaf_total must be >= 1")
 
 
-@dataclass
 class EnsembleModel:
-    """log w(x) = offset + nu * sum_k f_k(x); log r = 2 log w."""
+    """log w(x) = offset + nu * sum_k f_k(x); log r = 2 log w.
 
-    trees: list
-    learning_rate: float
-    offset: float
-    algorithm: str
-    dim: int
-    seed: int = 0
-    train_loss_path: np.ndarray | None = None
+    The trees' preorder arrays (see DecisionTree) are stored concatenated:
+    tree k holds nodes starts[k]:starts[k + 1], and its right-child indices
+    count from its own root.
+    """
+
+    def __init__(self, trees, learning_rate: float, offset: float, algorithm: str,
+                 dim: int, seed: int = 0, train_loss_path: np.ndarray | None = None):
+        self.starts = np.cumsum([0] + [t.feature.size for t in trees])
+        self.feature = np.concatenate([t.feature for t in trees] or [np.empty(0, np.int32)])
+        self.right = np.concatenate([t.right for t in trees] or [np.empty(0, np.int32)])
+        self.value = np.concatenate([t.value for t in trees] or [np.empty(0)])
+        self.learning_rate = learning_rate
+        self.offset = offset
+        self.algorithm = algorithm
+        self.dim = dim
+        self.seed = seed
+        self.train_loss_path = train_loss_path
+
+    @property
+    def trees(self) -> list:
+        """Views of the trees, in the order they were fitted."""
+        return [DecisionTree.from_arrays(self.feature[a:b], self.right[a:b],
+                                         self.value[a:b], self.dim)
+                for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     def log_weight(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -94,21 +110,27 @@ def predict_log_ratio(model: EnsembleModel, points: np.ndarray) -> np.ndarray:
 class _Grower:
     """Greedy tree construction shared by the FS and GB criteria.
 
-    Candidate splits are scanned per (dimension, cut) with cumulative bin
-    sums; children with observations from only one group, or with fewer
-    than min_leaf_total pooled observations, are refused.
+    Split search scores every (dimension, cut) of a node at once. Each
+    (dimension, bin) pair is one histogram cell, with key
+    dim * width + bin, where width is one more than the largest cut count;
+    so one bincount per histogram covers all dimensions, and cumulative sums
+    along each dimension's row give the left-child totals of its cuts.
+    Children with observations from only one group, or with fewer than
+    min_leaf_total pooled observations, are refused. That also refuses the
+    cut indices past a dimension's own cut count, which send every row left.
     """
 
-    def __init__(self, bins0, bins1, n_cuts, cuts, max_depth, min_leaf_total):
-        self.bins0 = bins0
-        self.bins1 = bins1
-        self.n_cuts = n_cuts
+    def __init__(self, bins0, bins1, cuts, max_depth, min_leaf_total):
+        self.width = max(len(c) for c in cuts) + 1
+        offsets = np.arange(len(cuts)) * self.width
+        self.keys0 = bins0 + offsets
+        self.keys1 = bins1 + offsets
         self.cuts = cuts
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
 
     def grow(self, m0, m1, res0=None, res1=None):
-        """Returns (root, contrib0, contrib1) with per-observation leaf betas.
+        """Returns (tree, contrib0, contrib1) with per-observation leaf betas.
 
         m0/m1 are the weighted per-observation masses (already 1/n scaled);
         res0/res1, when given, switch the split criterion to the pooled
@@ -120,79 +142,75 @@ class _Grower:
         self.res1 = res1
         self.contrib0 = np.empty(m0.size)
         self.contrib1 = np.empty(m1.size)
-        root = self._split(np.arange(m0.size), np.arange(m1.size), 0)
-        return root, self.contrib0, self.contrib1
-
-    def _make_leaf(self, idx0, idx1, depth):
-        beta = optimal_leaf_value(self.m0[idx0].sum(), self.m1[idx1].sum())
-        self.contrib0[idx0] = beta
-        self.contrib1[idx1] = beta
-        return Node(depth=depth, beta=beta)
+        self.feature, self.right, self.value = [], [], []
+        self._split(np.arange(m0.size), np.arange(m1.size), 0)
+        tree = DecisionTree.from_arrays(self.feature, self.right, self.value, len(self.cuts))
+        return tree, self.contrib0, self.contrib1
 
     def _split(self, idx0, idx1, depth):
-        if depth >= self.max_depth:
-            return self._make_leaf(idx0, idx1, depth)
-        best = self._best_split(idx0, idx1)
+        node = len(self.feature)
+        best = self._best_split(idx0, idx1) if depth < self.max_depth else None
         if best is None:
-            return self._make_leaf(idx0, idx1, depth)
+            beta = optimal_leaf_value(self.m0[idx0].sum(), self.m1[idx1].sum())
+            self.contrib0[idx0] = beta
+            self.contrib1[idx1] = beta
+            self.feature.append(-1)
+            self.right.append(-1)
+            self.value.append(beta)
+            return
         dim, j = best
-        left0 = self.bins0[idx0, dim] <= j
-        left1 = self.bins1[idx1, dim] <= j
-        node = Node(depth=depth, dim=dim, threshold=float(self.cuts[dim][j]))
-        node.left = self._split(idx0[left0], idx1[left1], depth + 1)
-        node.right = self._split(idx0[~left0], idx1[~left1], depth + 1)
-        return node
+        key = dim * self.width + j
+        left0 = self.keys0[idx0, dim] <= key
+        left1 = self.keys1[idx1, dim] <= key
+        self.feature.append(dim)
+        self.right.append(-1)
+        self.value.append(float(self.cuts[dim][j]))
+        self._split(idx0[left0], idx1[left1], depth + 1)
+        self.right[node] = len(self.feature)
+        self._split(idx0[~left0], idx1[~left1], depth + 1)
+
+    def _left_totals(self, keys, weights=None):
+        """(dims, cuts) matrix: the sum of weights (or the count) of the rows
+        routed left of each cut. Each cell adds its rows in row order."""
+        d = len(self.cuts)
+        if weights is not None:
+            weights = np.repeat(weights, d)
+        hist = np.bincount(keys.ravel(), weights=weights, minlength=d * self.width)
+        return np.cumsum(hist.reshape(d, self.width), axis=1)[:, :-1]
 
     def _best_split(self, idx0, idx1):
-        m = self.n_cuts
-        best_score = np.inf
-        best = None
-        c0_tot = idx0.size
-        c1_tot = idx1.size
-        gb = self.res0 is not None
-        if gb:
+        k0 = self.keys0[idx0]
+        k1 = self.keys1[idx1]
+        lc0 = self._left_totals(k0)
+        lc1 = self._left_totals(k1)
+        rc0 = idx0.size - lc0
+        rc1 = idx1.size - lc1
+        valid = (
+            (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
+            & (lc0 + lc1 >= self.min_leaf_total)
+            & (rc0 + rc1 >= self.min_leaf_total)
+        )
+        if not valid.any():
+            return None
+        if self.res0 is not None:
             r0 = self.res0[idx0]
             r1 = self.res1[idx1]
             r_tot = r0.sum() + r1.sum()
+            lsum = self._left_totals(k0, r0) + self._left_totals(k1, r1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = -(lsum**2 / (lc0 + lc1) + (r_tot - lsum) ** 2 / (rc0 + rc1))
         else:
-            p_tot = self.m0[idx0].sum()
-            q_tot = self.m1[idx1].sum()
-        for dim in range(self.bins0.shape[1]):
-            b0 = self.bins0[idx0, dim]
-            b1 = self.bins1[idx1, dim]
-            lc0 = np.cumsum(np.bincount(b0, minlength=m + 1))[:m]
-            lc1 = np.cumsum(np.bincount(b1, minlength=m + 1))[:m]
-            rc0 = c0_tot - lc0
-            rc1 = c1_tot - lc1
-            valid = (
-                (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
-                & (lc0 + lc1 >= self.min_leaf_total)
-                & (rc0 + rc1 >= self.min_leaf_total)
-            )
-            if not valid.any():
-                continue
-            if gb:
-                lsum = (
-                    np.cumsum(np.bincount(b0, weights=r0, minlength=m + 1))[:m]
-                    + np.cumsum(np.bincount(b1, weights=r1, minlength=m + 1))[:m]
-                )
-                lcnt = lc0 + lc1
-                rcnt = rc0 + rc1
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    score = -(lsum**2 / lcnt + (r_tot - lsum) ** 2 / rcnt)
-            else:
-                lp = np.cumsum(np.bincount(b0, weights=self.m0[idx0], minlength=m + 1))[:m]
-                lq = np.cumsum(np.bincount(b1, weights=self.m1[idx1], minlength=m + 1))[:m]
-                # cumulative cancellation can leave tiny negative right masses
-                rp = np.maximum(p_tot - lp, 0.0)
-                rq = np.maximum(q_tot - lq, 0.0)
-                score = np.sqrt(lp * lq) + np.sqrt(rp * rq)
-            score = np.where(valid, score, np.inf)
-            j = int(np.argmin(score))
-            if score[j] < best_score:
-                best_score = score[j]
-                best = (dim, j)
-        return best
+            w0 = self.m0[idx0]
+            w1 = self.m1[idx1]
+            lp = self._left_totals(k0, w0)
+            lq = self._left_totals(k1, w1)
+            # cumulative cancellation can leave tiny negative right masses
+            rp = np.maximum(w0.sum() - lp, 0.0)
+            rq = np.maximum(w1.sum() - lq, 0.0)
+            score = np.sqrt(lp * lq) + np.sqrt(rp * rq)
+        # the first (dim, cut) in row-major order wins ties
+        best = int(np.argmin(np.where(valid, score, np.inf)))
+        return divmod(best, self.width - 1)
 
 
 class _FitState:
@@ -231,7 +249,6 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
     grower = _Grower(
         grid.bin_indices(data.sample0),
         grid.bin_indices(data.sample1),
-        grid.count_per_dim,
         grid.cuts,
         config.max_depth,
         config.min_leaf_total,
@@ -245,13 +262,12 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
         m0 = np.exp(-state.logw0) / data.n0
         m1 = np.exp(state.logw1) / data.n1
         if config.algorithm == "gb":
-            root, c0, c1 = grower.grow(m0, m1, res0=m0, res1=-m1)
+            tree, c0, c1 = grower.grow(m0, m1, res0=m0, res1=-m1)
         else:
-            root, c0, c1 = grower.grow(m0, m1)
+            tree, c0, c1 = grower.grow(m0, m1)
         log_c, loss = state.apply(nu, c0, c1)
         offset += log_c
         losses.append(loss)
-        tree = DecisionTree(root, data.dim)
         trees.append(tree)
         if on_iteration is not None:
             on_iteration(tree, log_c)

@@ -127,13 +127,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        with open(path) as fh:
-            cfg = json.load(fh)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in cfg.items() if k in known})
+    """Make the keys of the --config JSON object the command's flag defaults,
+    so that flags on the command line override them."""
+    if "--config" not in argv:
+        return
+    commands = parser._subparsers._group_actions[0].choices
+    if argv[0] not in commands:
+        return  # argparse rejects --config before the command
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ValueError("--config needs a JSON file path")
+    path = argv[at]
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    command = commands[argv[0]]
+    known = {a.dest for a in command._actions} - {"help", "config"}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in config file {path} "
+                         f"for '{argv[0]}'")
+    command.set_defaults(**cfg)
 
 
 def _cmd_fit(args) -> int:
@@ -302,6 +317,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    except (OSError, ValueError) as e:  # an unusable --config file
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.command is None:
         parser.print_help()
         return 0

@@ -80,8 +80,7 @@ class TwoSampleDataset:
 class CutGrid:
     """Per-dimension candidate split thresholds shared by all trees."""
 
-    cuts: tuple  # tuple of 1-d float arrays, one per dimension
-    count_per_dim: int = 31
+    cuts: tuple  # tuple of 1-d float arrays, one per dimension; lengths may differ
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", tuple(_as_readonly(c) for c in self.cuts))
@@ -204,4 +203,4 @@ def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = 31) -> CutGrid:
             raise DataError(f"constant column {j}: zero range over the pooled sample")
         k = np.arange(1, count_per_dim + 1, dtype=np.float64)
         cuts.append(lo[j] + k * (hi[j] - lo[j]) / (count_per_dim + 1))
-    return CutGrid(tuple(cuts), count_per_dim)
+    return CutGrid(tuple(cuts))

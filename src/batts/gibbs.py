@@ -34,6 +34,8 @@ class GibbsConfig:
             raise ValueError("n_trees must be even (prior alternation needs pairs)")
         if self.lambda0 <= 0:
             raise ValueError("lambda0 must be positive")
+        if not (self.a0_tau > 0 and self.b0_tau > 0):
+            raise ValueError("a0_tau and b0_tau must be positive")
         p = np.asarray(self.move_probs, dtype=np.float64)
         if p.shape != (3,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
             raise ValueError("move_probs must be three nonnegative values summing to 1")

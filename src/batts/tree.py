@@ -33,79 +33,125 @@ class Node:
 
 
 class DecisionTree:
-    """A binary partition of the sample space with per-leaf log-weights."""
+    """A binary partition of the sample space with per-leaf log-weights.
+
+    The nodes are stored in preorder arrays. Node 0 is the root; node i's
+    left child is node i + 1 and its right child is node right[i].
+    feature[i] is the split dimension, or -1 at a leaf; value[i] is the
+    split threshold, or the leaf's beta. Values <= the threshold go left.
+    """
+
+    __slots__ = ("feature", "right", "value", "dim")
 
     def __init__(self, root: Node, dim: int):
-        self.root = root
+        feature, right, value = _flatten(
+            root,
+            lambda n: None if n.is_leaf else (n.dim, n.threshold, n.left, n.right),
+            lambda n: n.beta,
+        )
+        self.feature = np.array(feature, dtype=np.int32)
+        self.right = np.array(right, dtype=np.int32)
+        self.value = np.array(value, dtype=np.float64)
         self.dim = dim
 
-    def leaves(self) -> list:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
+    @classmethod
+    def from_arrays(cls, feature, right, value, dim: int) -> "DecisionTree":
+        """A tree over the given preorder arrays; numpy arrays of the right
+        dtypes are used without a copy, so the tree can be a view."""
+        tree = cls.__new__(cls)
+        tree.feature = np.asarray(feature, dtype=np.int32)
+        tree.right = np.asarray(right, dtype=np.int32)
+        tree.value = np.asarray(value, dtype=np.float64)
+        tree.dim = dim
+        return tree
+
+    def _nodes(self) -> list:
+        """The tree as linked Nodes, in preorder."""
+        feature, right, value = self.feature.tolist(), self.right.tolist(), self.value.tolist()
+        depth = [0] * len(feature)
+        for i, f in enumerate(feature):
+            if f >= 0:
+                depth[i + 1] = depth[right[i]] = depth[i] + 1
+        nodes = [None] * len(feature)
+        # children follow their parent in preorder, so build back to front
+        for i in reversed(range(len(feature))):
+            if feature[i] < 0:
+                nodes[i] = Node(depth=depth[i], beta=value[i])
             else:
-                # push right first so the left child is popped (and therefore
-                # emitted) before it
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+                nodes[i] = Node(depth=depth[i], dim=feature[i], threshold=value[i],
+                                left=nodes[i + 1], right=nodes[right[i]])
+        return nodes
+
+    @property
+    def root(self) -> Node:
+        """The root of the tree as linked Nodes, built on each access."""
+        return self._nodes()[0]
+
+    def leaves(self) -> list:
+        """Leaf Nodes from left to right."""
+        return [node for node in self._nodes() if node.is_leaf]
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"point has dimension {x.shape}, tree expects ({self.dim},)")
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.dim] <= node.threshold else node.right
-        return node.beta
+        i = 0
+        while self.feature[i] >= 0:
+            i = i + 1 if x[self.feature[i]] <= self.value[i] else self.right[i]
+        return float(self.value[i])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
+        X = self._points(X)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for leaf, idx in self._route(X):
+            out[idx] = self.value[leaf]
+        return out
+
+    def leaf_memberships(self, X: np.ndarray) -> list:
+        """Row indices of X per leaf, in leaves() order."""
+        return [idx for _, idx in self._route(self._points(X))]
+
+    def _points(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have {X.shape[1] if X.ndim == 2 else '?'} columns, "
                              f"tree expects {self.dim}")
-        out = np.empty(X.shape[0], dtype=np.float64)
-        self._assign(self.root, X, np.arange(X.shape[0]), out)
-        return out
+        return X
 
-    def _assign(self, node: Node, X, idx, out) -> None:
-        if node.is_leaf:
-            out[idx] = node.beta
-            return
-        go_left = X[idx, node.dim] <= node.threshold
-        self._assign(node.left, X, idx[go_left], out)
-        self._assign(node.right, X, idx[~go_left], out)
-
-    def leaf_memberships(self, X: np.ndarray) -> list:
-        """Row indices of X per leaf, in leaves() order."""
-        X = np.asarray(X, dtype=np.float64)
-        buckets = []
-        self._collect(self.root, X, np.arange(X.shape[0]), buckets)
-        return buckets
-
-    def _collect(self, node, X, idx, buckets) -> None:
-        if node.is_leaf:
-            buckets.append(idx)
-            return
-        go_left = X[idx, node.dim] <= node.threshold
-        self._collect(node.left, X, idx[go_left], buckets)
-        self._collect(node.right, X, idx[~go_left], buckets)
+    def _route(self, X: np.ndarray) -> list:
+        """(leaf node, row indices of X that reach it), leaves left to right."""
+        feature, right, value = self.feature, self.right, self.value
+        routed = []
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            i, idx = stack.pop()
+            if feature[i] < 0:
+                routed.append((i, idx))
+                continue
+            go_left = X[idx, feature[i]] <= value[i]
+            # the left child is pushed last, so it is routed (and emitted) first
+            stack.append((right[i], idx[~go_left]))
+            stack.append((i + 1, idx[go_left]))
+        return routed
 
     def max_depth(self) -> int:
         return max(leaf.depth for leaf in self.leaves())
 
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return int(np.count_nonzero(self.feature < 0))
 
     def to_dict(self) -> dict:
-        return _node_to_dict(self.root)
+        return _to_dict(self.feature.tolist(), self.right.tolist(), self.value.tolist(), 0)
 
     @classmethod
     def from_dict(cls, d: dict, dim: int) -> "DecisionTree":
-        return cls(_node_from_dict(d, 0), dim)
+        feature, right, value = _flatten(
+            d,
+            lambda n: None if "beta" in n else (
+                int(n["dim"]), float(n["threshold"]), n["left"], n["right"]),
+            lambda n: float(n["beta"]),
+        )
+        return cls.from_arrays(feature, right, value, dim)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -115,27 +161,42 @@ class DecisionTree:
         return cls.from_dict(json.loads(s), dim)
 
 
-def _node_to_dict(node: Node) -> dict:
-    if node.is_leaf:
-        return {"beta": node.beta}
+def _flatten(root, split, beta):
+    """Preorder (feature, right, value) lists of a linked tree.
+
+    split(node) is None at a leaf, whose value is beta(node), and
+    (dim, threshold, left, right) at an internal node.
+    """
+    feature, right, value = [], [], []
+    stack = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:  # node is the right child of parent
+            right[parent] = len(feature)
+        s = split(node)
+        if s is None:
+            feature.append(-1)
+            right.append(-1)
+            value.append(beta(node))
+        else:
+            dim, threshold, left, rchild = s
+            stack.append((rchild, len(feature)))
+            stack.append((left, -1))
+            feature.append(dim)
+            right.append(-1)
+            value.append(threshold)
+    return feature, right, value
+
+
+def _to_dict(feature, right, value, i) -> dict:
+    if feature[i] < 0:
+        return {"beta": value[i]}
     return {
-        "dim": node.dim,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "dim": feature[i],
+        "threshold": value[i],
+        "left": _to_dict(feature, right, value, i + 1),
+        "right": _to_dict(feature, right, value, right[i]),
     }
-
-
-def _node_from_dict(d: dict, depth: int) -> Node:
-    if "beta" in d:
-        return Node(depth=depth, beta=float(d["beta"]))
-    return Node(
-        depth=depth,
-        dim=int(d["dim"]),
-        threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"], depth + 1),
-        right=_node_from_dict(d["right"], depth + 1),
-    )
 
 
 @dataclass(frozen=True)

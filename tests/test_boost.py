@@ -1,6 +1,9 @@
 """Forward-stagewise and gradient boosting: hand-traced oracles, loss
 monotonicity, the split search, CV selection, and model persistence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,9 @@ from batts import (
     select_tree_count_cv,
 )
 from batts.boost import _Grower, _fit_boost, cv_loss_curve
-from batts.loss import BalanceState, finite_sample_loss, optimal_leaf_value
+from batts.data import CutGrid
+from batts.loss import (BalanceState, finite_sample_loss, hellinger_split_score,
+                        optimal_leaf_value)
 
 
 class TestConfig:
@@ -129,12 +134,87 @@ class TestSplitSearch:
             m1 = rng.uniform(0.5, 2.0, n1) / n1
             res0 = m0 if gb else None
             res1 = -m1 if gb else None
-            grower = _Grower(b0, b1, 7, grid.cuts, 4, 5)
+            grower = _Grower(b0, b1, grid.cuts, 4, 5)
             grower.m0, grower.m1 = m0, m1
             grower.res0, grower.res1 = res0, res1
             got = grower._best_split(np.arange(n0), np.arange(n1))
             want = self._brute_force(b0, b1, m0, m1, res0, res1, 7, 5)
             assert got == want
+
+    @staticmethod
+    def _oracle(x0, x1, cuts, m0, m1, res0, res1, min_leaf):
+        """The first (dim, cut), in dimension then cut order, minimizing the
+        split score over all valid candidates, each computed from scratch on
+        float routing: hellinger_split_score for fs, and for gb the pooled
+        within-child sum of squares of the residuals."""
+        scores = {}
+        for dim, c in enumerate(cuts):
+            for j, t in enumerate(c):
+                l0, l1 = x0[:, dim] <= t, x1[:, dim] <= t
+                if min(l0.sum(), l1.sum(), (~l0).sum(), (~l1).sum()) < 1:
+                    continue
+                if l0.sum() + l1.sum() < min_leaf or (~l0).sum() + (~l1).sum() < min_leaf:
+                    continue
+                if res0 is None:
+                    scores[dim, j] = hellinger_split_score(
+                        m0[l0].sum(), m1[l1].sum(), m0[~l0].sum(), m1[~l1].sum())
+                else:
+                    r = np.concatenate([res0, res1])
+                    lab = np.concatenate([l0, l1])
+                    scores[dim, j] = (((r[lab] - r[lab].mean()) ** 2).sum()
+                                      + ((r[~lab] - r[~lab].mean()) ** 2).sum())
+        low = min(scores.values())
+        # distinct partitions score far apart here; equal partitions tie exactly
+        return next(k for k, v in scores.items() if v <= low + 1e-12 * abs(low))
+
+    @pytest.mark.parametrize("gb", [False, True])
+    def test_oracle_argmin_uneven_cuts_and_tie(self, gb):
+        """Three dimensions with 5, 11 and 5 cuts, at an interior node (a
+        random subset of rows). Dimension 2 copies dimension 0 and its cuts,
+        so each cut of dimension 0 ties exactly with the same cut of
+        dimension 2; dimension 0 carries the shift, so the tie is at the
+        optimum and the first dimension must win it."""
+        gen = np.random.default_rng(17)
+        cuts = (np.linspace(-1.5, 1.5, 5), np.linspace(-2.0, 2.0, 11),
+                np.linspace(-1.5, 1.5, 5))
+        grid = CutGrid(cuts)
+        tie_won = 0
+        for _ in range(12):
+            n0, n1 = int(gen.integers(60, 120)), int(gen.integers(60, 120))
+            s0 = gen.standard_normal((n0, 3))
+            s1 = gen.standard_normal((n1, 3)) + [0.8, 0.3, 0.0]
+            s0[:, 2], s1[:, 2] = s0[:, 0], s1[:, 0]
+            m0 = gen.uniform(0.5, 2.0, n0) / n0
+            m1 = gen.uniform(0.5, 2.0, n1) / n1
+            idx0 = np.sort(gen.choice(n0, size=n0 * 3 // 4, replace=False))
+            idx1 = np.sort(gen.choice(n1, size=n1 * 3 // 4, replace=False))
+            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 4, 5)
+            grower.m0, grower.m1 = m0, m1
+            grower.res0, grower.res1 = (m0, -m1) if gb else (None, None)
+            got = grower._best_split(idx0, idx1)
+            r0, r1 = (m0[idx0], -m1[idx1]) if gb else (None, None)
+            want = self._oracle(s0[idx0], s1[idx1], cuts, m0[idx0], m1[idx1], r0, r1, 5)
+            assert got == want
+            tie_won += want[0] == 0
+        assert tie_won >= 6
+
+    def test_every_cut_of_a_long_grid_is_searched(self):
+        """On a 1-D grid of 40 cuts, the best root split is past the 31st cut
+        (the old CutGrid.count_per_dim default, where the search used to
+        stop) and fs must find it."""
+        gen = np.random.default_rng(4)
+        s0 = gen.uniform(0.0, 1.0, (400, 1))
+        s1 = np.concatenate([gen.uniform(0.0, 0.9, (280, 1)),
+                             gen.uniform(0.9, 1.0, (120, 1))])
+        data = TwoSampleDataset(s0, s1)
+        cuts = np.arange(1, 41) / 41
+        grid = CutGrid((cuts,))
+        model = _fit_boost(data, grid, BoostConfig(algorithm="fs", max_trees=1,
+                                                   max_depth=1), 1)
+        m0 = np.full(400, 1 / 400)
+        best = self._oracle(s0, s1, grid.cuts, m0, m0, None, None, 5)
+        assert best[1] >= 31
+        assert model.trees[0].root.threshold == cuts[best[1]]
 
     def test_signal_dimension_chosen_at_root(self):
         """A pure-noise dimension is essentially never selected when the
@@ -315,6 +395,21 @@ class TestPersistence:
         gb = fit_gradient_boost(data, grid, BoostConfig(max_trees=7))
         assert len(fs.trees) == len(gb.trees) == 7
         assert fs.algorithm == "fs" and gb.algorithm == "gb"
+
+    def test_prediction_holds_no_reference_to_points(self, shifted_2d):
+        """With the cycle collector off, the points are freed as soon as the
+        caller drops them: routing leaves no reference cycle behind."""
+        data, grid = shifted_2d
+        model = _fit_boost(data, grid, BoostConfig(max_trees=3), 3)
+        gc.disable()
+        try:
+            points = data.pooled()
+            ref = weakref.ref(points)
+            predict_log_ratio(model, points)
+            del points
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_predict_dimension_check(self, shifted_2d):
         data, grid = shifted_2d

@@ -156,6 +156,26 @@ class TestConfigAndErrors:
         assert code == 0
         assert "4 trees" in capsys.readouterr().out
 
+    def test_config_without_path_is_one_line_error(self, tmp_path, capsys):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--out", str(tmp_path / "m.json"), "--config"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --config needs a JSON file path\n"
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_trees": 7, "nuu": 1}')
+        model = tmp_path / "model.json"
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--config", str(cfg), "--out", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'nuu'") and err.count("\n") == 1
+        assert not model.exists()
+
     def test_unknown_command_exits_2(self, capsys):
         assert dispatch(["frobnicate"]) == 2
         assert "unknown command: frobnicate" in capsys.readouterr().err

@@ -89,10 +89,10 @@ class TestCutGrid:
 
     def test_non_increasing_cuts_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
-            CutGrid((np.array([1.0, 1.0, 2.0]),), 3)
+            CutGrid((np.array([1.0, 1.0, 2.0]),))
 
     def test_bin_indices_align_with_routing(self):
-        g = CutGrid((np.array([1.0, 2.0, 3.0]),), 3)
+        g = CutGrid((np.array([1.0, 2.0, 3.0]),))
         x = np.array([[0.5], [1.0], [1.5], [3.0], [9.0]])
         bins = g.bin_indices(x).ravel()
         np.testing.assert_array_equal(bins, [0, 0, 1, 2, 3])

@@ -215,6 +215,8 @@ class TestGibbsConfig:
         {"lambda0": 0.0},
         {"move_probs": (0.5, 0.5, 0.5)},
         {"burn_in": -1},
+        {"a0_tau": -1.0},
+        {"b0_tau": 0.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

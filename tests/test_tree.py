@@ -104,7 +104,7 @@ class TestPrior:
             split_probability(TreePrior(), -1)
 
     def test_sampled_trees_match_root_split_rate(self):
-        grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)), 9)
+        grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
         gen = np.random.default_rng(11)
         prior = TreePrior()
         split = sum(
@@ -115,7 +115,7 @@ class TestPrior:
         assert split / 4000 == pytest.approx(0.95, abs=0.011)
 
     def test_sampled_tree_thresholds_come_from_grid(self):
-        grid = CutGrid((np.linspace(0.1, 0.9, 9),), 9)
+        grid = CutGrid((np.linspace(0.1, 0.9, 9),))
         gen = np.random.default_rng(3)
         for _ in range(50):
             t = sample_tree_from_prior(TreePrior(), grid, gen)
@@ -127,7 +127,7 @@ class TestPrior:
                     stack.extend([node.left, node.right])
 
     def test_max_depth_cap(self):
-        grid = CutGrid((np.linspace(0.1, 0.9, 9),), 9)
+        grid = CutGrid((np.linspace(0.1, 0.9, 9),))
         gen = np.random.default_rng(9)
         for _ in range(50):
             t = sample_tree_from_prior(TreePrior(0.99, 0.0), grid, gen, max_depth=3)

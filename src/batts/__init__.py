@@ -6,8 +6,6 @@ from .boost import (
     BoostConfig,
     EnsembleModel,
     fit,
-    fit_forward_stagewise,
-    fit_gradient_boost,
     predict_log_ratio,
     select_tree_count_cv,
 )

@@ -4,7 +4,7 @@ with shrinkage, one-group pruning, and cross-validated tree-count selection."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class EnsembleModel:
     @property
     def trees(self) -> list:
         """Views of the trees, in the order they were fitted."""
-        return [DecisionTree.from_arrays(self.feature[a:b], self.right[a:b],
-                                         self.value[a:b], self.dim)
+        return [DecisionTree(self.feature[a:b], self.right[a:b], self.value[a:b], self.dim)
                 for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     def log_weight(self, X: np.ndarray) -> np.ndarray:
@@ -144,7 +143,7 @@ class _Grower:
         self.contrib1 = np.empty(m1.size)
         self.feature, self.right, self.value = [], [], []
         self._split(np.arange(m0.size), np.arange(m1.size), 0)
-        tree = DecisionTree.from_arrays(self.feature, self.right, self.value, len(self.cuts))
+        tree = DecisionTree(self.feature, self.right, self.value, len(self.cuts))
         return tree, self.contrib0, self.contrib1
 
     def _split(self, idx0, idx1, depth):
@@ -280,19 +279,6 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
         seed=config.seed,
         train_loss_path=np.asarray(losses),
     )
-
-
-def fit_forward_stagewise(data: TwoSampleDataset, grid: CutGrid,
-                          config: BoostConfig) -> EnsembleModel:
-    """Fit config.max_trees trees by greedy affinity minimization."""
-    return _fit_boost(data, grid, replace(config, algorithm="fs"), config.max_trees)
-
-
-def fit_gradient_boost(data: TwoSampleDataset, grid: CutGrid,
-                       config: BoostConfig) -> EnsembleModel:
-    """Fit config.max_trees trees on the pseudo-residuals, with leaf values
-    reset to their closed-form optima."""
-    return _fit_boost(data, grid, replace(config, algorithm="gb"), config.max_trees)
 
 
 def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list:

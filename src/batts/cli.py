@@ -129,15 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser, argv):
     """Make the keys of the --config JSON object the command's flag defaults,
     so that flags on the command line override them."""
-    if "--config" not in argv:
+    flags = [a for a in argv if a == "--config" or a.startswith("--config=")]
+    if not flags:
         return
     commands = parser._subparsers._group_actions[0].choices
     if argv[0] not in commands:
         return  # argparse rejects --config before the command
-    at = argv.index("--config") + 1
-    if at == len(argv):
+    if flags[0] == "--config":
+        at = argv.index("--config") + 1
+        path = argv[at] if at < len(argv) else ""
+    else:
+        path = flags[0].split("=", 1)[1]
+    if not path:
         raise ValueError("--config needs a JSON file path")
-    path = argv[at]
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):

@@ -99,6 +99,9 @@ class CutGrid:
         its bin index is <= j.
         """
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DataError(f"points have {X.shape[1] if X.ndim == 2 else '?'} columns, "
+                            f"cut grid expects {self.dim}")
         out = np.empty(X.shape, dtype=np.int64)
         for j, c in enumerate(self.cuts):
             out[:, j] = np.searchsorted(c, X[:, j], side="left")

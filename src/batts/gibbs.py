@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
 from .loss import BalanceState, check_log_weights, finite_sample_loss
-from .tree import Node, TreePrior, split_probability
+from .tree import DecisionTree, TreePrior, split_probability
 
 GROW, PRUNE, CHANGE = 0, 1, 2
 
@@ -125,12 +125,21 @@ def prior_log_weight_draws(n_trees: int, lambda0: float, n_draws: int,
 
 
 class SamplerTree:
-    """Mutable tree state inside the sampler: node structure, per-leaf betas,
-    and the per-row leaf assignment kept consistent across moves."""
+    """Mutable tree state inside the sampler, kept consistent across moves.
+
+    The structure uses DecisionTree's preorder layout, held in lists:
+    feature (-1 at a leaf), right (the right child's index, -1 at a leaf)
+    and value (the threshold at an internal node), plus each node's depth
+    and slot. A leaf's slot is its index into betas, -1 at internal nodes;
+    leaf_idx holds each row's leaf slot.
+    """
 
     def __init__(self, n_rows: int, even: bool):
-        self.root = Node(depth=0, leaf_id=0, beta=0.0)
-        self.leaves = [self.root]
+        self.feature = [-1]
+        self.right = [-1]
+        self.value = [0.0]
+        self.depth = [0]
+        self.slot = [0]
         self.betas = np.zeros(1)
         self.leaf_idx = np.zeros(n_rows, dtype=np.int64)
         self.even = even
@@ -138,70 +147,61 @@ class SamplerTree:
     def contributions(self) -> np.ndarray:
         return self.betas[self.leaf_idx]
 
-    def collect(self):
-        """Leaves, second-generation-internal nodes, and parent pointers."""
-        leaves, two_gi, parent = [], [], {}
-        stack = [(self.root, None)]
-        while stack:
-            node, par = stack.pop()
-            parent[id(node)] = par
-            if node.is_leaf:
-                leaves.append(node)
-            else:
-                if node.left.is_leaf and node.right.is_leaf:
-                    two_gi.append(node)
-                stack.append((node.right, node))
-                stack.append((node.left, node))
-        return leaves, two_gi, parent
+    def rows_of(self, slot: int) -> np.ndarray:
+        return np.nonzero(self.leaf_idx == slot)[0]
 
-    def rows_of(self, leaf_id: int) -> np.ndarray:
-        return np.nonzero(self.leaf_idx == leaf_id)[0]
-
-    def apply_grow(self, leaf: Node, dim: int, threshold: float,
+    def apply_grow(self, i: int, dim: int, threshold: float,
                    rows_right: np.ndarray) -> None:
-        new_id = len(self.leaves)
-        left = Node(depth=leaf.depth + 1, leaf_id=leaf.leaf_id, beta=leaf.beta)
-        right = Node(depth=leaf.depth + 1, leaf_id=new_id, beta=leaf.beta)
-        self.leaves[leaf.leaf_id] = left
-        self.leaves.append(right)
-        self.betas = np.append(self.betas, leaf.beta)
-        self.leaf_idx[rows_right] = new_id
-        leaf.dim = dim
-        leaf.threshold = threshold
-        leaf.left = left
-        leaf.right = right
-        leaf.leaf_id = None
+        """Split leaf i: its left child keeps its slot, the right child
+        takes the next free one."""
+        kept, new = self.slot[i], self.n_leaves()
+        self.right = [r + 2 if r > i else r for r in self.right]
+        self.feature[i], self.right[i], self.value[i], self.slot[i] = dim, i + 2, threshold, -1
+        child = self.depth[i] + 1
+        self.feature[i + 1:i + 1] = [-1, -1]
+        self.right[i + 1:i + 1] = [-1, -1]
+        self.value[i + 1:i + 1] = [0.0, 0.0]
+        self.depth[i + 1:i + 1] = [child, child]
+        self.slot[i + 1:i + 1] = [kept, new]
+        self.betas = np.append(self.betas, self.betas[kept])
+        self.leaf_idx[rows_right] = new
 
-    def apply_prune(self, node: Node) -> None:
-        keep = node.left.leaf_id
-        drop = node.right.leaf_id
+    def apply_prune(self, i: int) -> None:
+        """Merge the two leaves under node i into it. Node i takes the left
+        leaf's slot, and the last slot moves into the freed right one."""
+        keep, drop = self.slot[i + 1], self.slot[i + 2]
         self.leaf_idx[self.leaf_idx == drop] = keep
-        node.leaf_id = keep
-        node.beta = self.betas[keep]
-        node.dim = node.threshold = node.left = node.right = None
-        self.leaves[keep] = node
-        last = len(self.leaves) - 1
+        for column in (self.feature, self.right, self.value, self.depth, self.slot):
+            del column[i + 1:i + 3]
+        self.feature[i], self.right[i], self.value[i], self.slot[i] = -1, -1, 0.0, keep
+        self.right = [r - 2 if r > i else r for r in self.right]
+        last = self.n_leaves() - 1
         if drop != last:
-            moved = self.leaves[last]
-            moved.leaf_id = drop
-            self.leaves[drop] = moved
+            self.slot[self.slot.index(last)] = drop
             self.betas[drop] = self.betas[last]
             self.leaf_idx[self.leaf_idx == last] = drop
-        self.leaves.pop()
         self.betas = self.betas[:-1]
 
-    def apply_change(self, node: Node, dim: int, threshold: float,
+    def apply_change(self, i: int, dim: int, threshold: float,
                      rows_left: np.ndarray, rows_right: np.ndarray) -> None:
-        node.dim = dim
-        node.threshold = threshold
-        self.leaf_idx[rows_left] = node.left.leaf_id
-        self.leaf_idx[rows_right] = node.right.leaf_id
+        self.feature[i] = dim
+        self.value[i] = threshold
+        self.leaf_idx[rows_left] = self.slot[i + 1]
+        self.leaf_idx[rows_right] = self.slot[i + 2]
 
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return self.betas.size
 
     def max_depth(self) -> int:
-        return max(leaf.depth for leaf in self.leaves)
+        return max(self.depth)
+
+    def decision_tree(self, dim: int) -> DecisionTree:
+        """The tree with its current leaf betas, in DecisionTree form."""
+        value = np.array(self.value)
+        slot = np.array(self.slot)
+        leaf = slot >= 0
+        value[leaf] = self.betas[slot[leaf]]
+        return DecisionTree(self.feature, self.right, value, dim)
 
 
 class MoveContext:
@@ -239,22 +239,31 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
     counted as rejections.
     """
     move = int(rng.choice(3, p=ctx.move_probs))
-    leaves, two_gi, parent = tree.collect()
+    feature = tree.feature
+    # Leaves and second-generation internal nodes (internal nodes whose two
+    # children are leaves), in preorder. An internal node whose left child
+    # is a leaf has its right child next.
+    leaves = [i for i, f in enumerate(feature) if f < 0]
+    two_gi = [i for i in range(len(feature) - 2)
+              if feature[i] >= 0 and feature[i + 1] < 0 and feature[i + 2] < 0]
     even = tree.even
     if move == GROW:
         leaf = leaves[int(rng.integers(len(leaves)))]
         dim = int(rng.integers(ctx.bins.shape[1]))
         j = int(rng.integers(len(ctx.cuts[dim])))
-        rows = tree.rows_of(leaf.leaf_id)
+        rows = tree.rows_of(tree.slot[leaf])
         go_left = ctx.bins[rows, dim] <= j
         rows_l, rows_r = rows[go_left], rows[~go_left]
         s0l, s1l = ctx.leaf_stats(rows_l)
         s0r, s1r = ctx.leaf_stats(rows_r)
-        par = parent[id(leaf)]
-        par_was_2gi = par is not None and par.left.is_leaf and par.right.is_leaf
+        # the leaf's parent is the node before it when that node is internal
+        # (the leaf is its left child), else the node whose right child it is
+        par = -1 if leaf == 0 else (
+            leaf - 1 if feature[leaf - 1] >= 0 else tree.right.index(leaf))
+        par_was_2gi = par in two_gi
         n2gi_new = len(two_gi) + 1 - (1 if par_was_2gi else 0)
         log_alpha = (
-            math.log(_grow_factor(ctx.prior, leaf.depth))
+            math.log(_grow_factor(ctx.prior, tree.depth[leaf]))
             + math.log(len(leaves)) - math.log(n2gi_new)
             + ctx.loglik(s0l, s1l, even) + ctx.loglik(s0r, s1r, even)
             - ctx.loglik(s0l + s0r, s1l + s1r, even)
@@ -266,14 +275,13 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
     if not two_gi:
         return move, False
     node = two_gi[int(rng.integers(len(two_gi)))]
-    idl, idr = node.left.leaf_id, node.right.leaf_id
-    rows_l, rows_r = tree.rows_of(idl), tree.rows_of(idr)
+    rows_l, rows_r = tree.rows_of(tree.slot[node + 1]), tree.rows_of(tree.slot[node + 2])
     s0l, s1l = ctx.leaf_stats(rows_l)
     s0r, s1r = ctx.leaf_stats(rows_r)
     old_ll = ctx.loglik(s0l, s1l, even) + ctx.loglik(s0r, s1r, even)
     if move == PRUNE:
         log_alpha = (
-            -math.log(_grow_factor(ctx.prior, node.depth))
+            -math.log(_grow_factor(ctx.prior, tree.depth[node]))
             + math.log(len(two_gi)) - math.log(len(leaves) - 1)
             + ctx.loglik(s0l + s0r, s1l + s1r, even) - old_ll
         )
@@ -303,10 +311,7 @@ def _resample_betas(tree: SamplerTree, ctx: MoveContext,
     s1 = np.bincount(tree.leaf_idx, weights=ctx.w1row, minlength=nl)[:nl]
     mu_p, lam_p = _posterior_params(s0, s1, ctx.tau, ctx.zeta, ctx.lam, tree.even)
     z = sample_inverse_gaussian(mu_p, lam_p, rng)
-    beta = -np.log(z) if tree.even else np.log(z)
-    tree.betas = beta
-    for node, b in zip(tree.leaves, beta):
-        node.beta = float(b)
+    tree.betas = -np.log(z) if tree.even else np.log(z)
 
 
 @dataclass
@@ -395,25 +400,14 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
 
 
 def _verify_state(trees, X, logw, tol=1e-8) -> None:
-    """Recompute log w by routing every point through the raw node
-    structure; guards the incrementally maintained state."""
+    """Recompute log w by routing every point through each tree's float
+    thresholds; guards the incrementally maintained state."""
     fresh = np.zeros(X.shape[0])
     for tree in trees:
-        out = np.empty(X.shape[0])
-        _route(tree.root, X, np.arange(X.shape[0]), out)
-        fresh += out
+        fresh += tree.decision_tree(X.shape[1]).evaluate_many(X)
     err = np.max(np.abs(fresh - logw)) if logw.size else 0.0
     if err > tol:
         raise AssertionError(f"incremental log-weight state drifted by {err}")
-
-
-def _route(node, X, idx, out):
-    if node.is_leaf:
-        out[idx] = node.beta
-        return
-    go_left = X[idx, node.dim] <= node.threshold
-    _route(node.left, X, idx[go_left], out)
-    _route(node.right, X, idx[~go_left], out)
 
 
 def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):

@@ -10,22 +10,20 @@ import numpy as np
 
 
 class Node:
-    """One tree node. Internal nodes carry (dim, threshold); leaves carry beta.
-
-    Routing convention: values <= threshold go to the left child.
+    """A read-only view of one tree node, built by DecisionTree.root and
+    DecisionTree.leaves(). Internal nodes carry (dim, threshold); leaves
+    carry beta. Values <= threshold go to the left child.
     """
 
-    __slots__ = ("depth", "dim", "threshold", "left", "right", "beta", "leaf_id")
+    __slots__ = ("depth", "dim", "threshold", "left", "right", "beta")
 
-    def __init__(self, depth=0, dim=None, threshold=None, left=None, right=None,
-                 beta=0.0, leaf_id=None):
+    def __init__(self, depth, dim=None, threshold=None, left=None, right=None, beta=0.0):
         self.depth = depth
         self.dim = dim
         self.threshold = threshold
         self.left = left
         self.right = right
         self.beta = beta
-        self.leaf_id = leaf_id
 
     @property
     def is_leaf(self) -> bool:
@@ -39,31 +37,17 @@ class DecisionTree:
     left child is node i + 1 and its right child is node right[i].
     feature[i] is the split dimension, or -1 at a leaf; value[i] is the
     split threshold, or the leaf's beta. Values <= the threshold go left.
+    numpy arrays of the right dtypes are used without a copy, so a tree can
+    be a view into larger arrays.
     """
 
     __slots__ = ("feature", "right", "value", "dim")
 
-    def __init__(self, root: Node, dim: int):
-        feature, right, value = _flatten(
-            root,
-            lambda n: None if n.is_leaf else (n.dim, n.threshold, n.left, n.right),
-            lambda n: n.beta,
-        )
-        self.feature = np.array(feature, dtype=np.int32)
-        self.right = np.array(right, dtype=np.int32)
-        self.value = np.array(value, dtype=np.float64)
+    def __init__(self, feature, right, value, dim: int):
+        self.feature = np.asarray(feature, dtype=np.int32)
+        self.right = np.asarray(right, dtype=np.int32)
+        self.value = np.asarray(value, dtype=np.float64)
         self.dim = dim
-
-    @classmethod
-    def from_arrays(cls, feature, right, value, dim: int) -> "DecisionTree":
-        """A tree over the given preorder arrays; numpy arrays of the right
-        dtypes are used without a copy, so the tree can be a view."""
-        tree = cls.__new__(cls)
-        tree.feature = np.asarray(feature, dtype=np.int32)
-        tree.right = np.asarray(right, dtype=np.int32)
-        tree.value = np.asarray(value, dtype=np.float64)
-        tree.dim = dim
-        return tree
 
     def _nodes(self) -> list:
         """The tree as linked Nodes, in preorder."""
@@ -145,13 +129,22 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d: dict, dim: int) -> "DecisionTree":
-        feature, right, value = _flatten(
-            d,
-            lambda n: None if "beta" in n else (
-                int(n["dim"]), float(n["threshold"]), n["left"], n["right"]),
-            lambda n: float(n["beta"]),
-        )
-        return cls.from_arrays(feature, right, value, dim)
+        feature, right, value = [], [], []
+        stack = [(d, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:  # node is the right child of parent
+                right[parent] = len(feature)
+            right.append(-1)
+            if "beta" in node:
+                feature.append(-1)
+                value.append(float(node["beta"]))
+            else:
+                stack.append((node["right"], len(feature)))
+                stack.append((node["left"], -1))
+                feature.append(int(node["dim"]))
+                value.append(float(node["threshold"]))
+        return cls(feature, right, value, dim)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -159,33 +152,6 @@ class DecisionTree:
     @classmethod
     def from_json(cls, s: str, dim: int) -> "DecisionTree":
         return cls.from_dict(json.loads(s), dim)
-
-
-def _flatten(root, split, beta):
-    """Preorder (feature, right, value) lists of a linked tree.
-
-    split(node) is None at a leaf, whose value is beta(node), and
-    (dim, threshold, left, right) at an internal node.
-    """
-    feature, right, value = [], [], []
-    stack = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        if parent >= 0:  # node is the right child of parent
-            right[parent] = len(feature)
-        s = split(node)
-        if s is None:
-            feature.append(-1)
-            right.append(-1)
-            value.append(beta(node))
-        else:
-            dim, threshold, left, rchild = s
-            stack.append((rchild, len(feature)))
-            stack.append((left, -1))
-            feature.append(dim)
-            right.append(-1)
-            value.append(threshold)
-    return feature, right, value
 
 
 def _to_dict(feature, right, value, i) -> dict:
@@ -233,18 +199,23 @@ def route_observations(tree: DecisionTree, data) -> list:
 
 def sample_tree_from_prior(prior: TreePrior, grid, rng: np.random.Generator,
                            max_depth: int | None = None) -> DecisionTree:
-    """Draw a tree structure (no betas) from the recursive partition prior."""
-    d = grid.dim
+    """Draw a tree structure (all betas 0) from the recursive partition prior."""
+    feature, right, value = [], [], []
 
     def build(depth):
+        node = len(feature)
+        feature.append(-1)
+        right.append(-1)
+        value.append(0.0)
         cap = max_depth is not None and depth >= max_depth
         if not cap and rng.random() < split_probability(prior, depth):
-            dim = int(rng.integers(d))
+            dim = int(rng.integers(grid.dim))
             j = int(rng.integers(len(grid.cuts[dim])))
-            node = Node(depth=depth, dim=dim, threshold=float(grid.cuts[dim][j]))
-            node.left = build(depth + 1)
-            node.right = build(depth + 1)
-            return node
-        return Node(depth=depth)
+            feature[node] = dim
+            value[node] = float(grid.cuts[dim][j])
+            build(depth + 1)
+            right[node] = len(feature)
+            build(depth + 1)
 
-    return DecisionTree(build(0), d)
+    build(0)
+    return DecisionTree(feature, right, value, grid.dim)

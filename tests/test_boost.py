@@ -13,8 +13,6 @@ from batts import (
     TwoSampleDataset,
     build_cut_grid,
     fit,
-    fit_forward_stagewise,
-    fit_gradient_boost,
     predict_log_ratio,
     select_tree_count_cv,
 )
@@ -377,8 +375,7 @@ class TestCrossValidation:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, shifted_2d):
         data, grid = shifted_2d
-        model = fit_gradient_boost(data, grid,
-                                   BoostConfig(algorithm="gb", max_trees=12))
+        model = fit(data, grid, BoostConfig(algorithm="gb", max_trees=12), select=False)
         path = tmp_path / "model.json"
         model.save(path)
         clone = EnsembleModel.load(path)
@@ -391,8 +388,8 @@ class TestPersistence:
 
     def test_entry_points_fit_exactly_max_trees(self, shifted_2d):
         data, grid = shifted_2d
-        fs = fit_forward_stagewise(data, grid, BoostConfig(max_trees=7))
-        gb = fit_gradient_boost(data, grid, BoostConfig(max_trees=7))
+        fs = fit(data, grid, BoostConfig(algorithm="fs", max_trees=7), select=False)
+        gb = fit(data, grid, BoostConfig(algorithm="gb", max_trees=7), select=False)
         assert len(fs.trees) == len(gb.trees) == 7
         assert fs.algorithm == "fs" and gb.algorithm == "gb"
 
@@ -413,6 +410,6 @@ class TestPersistence:
 
     def test_predict_dimension_check(self, shifted_2d):
         data, grid = shifted_2d
-        model = fit_gradient_boost(data, grid, BoostConfig(max_trees=2))
+        model = fit(data, grid, BoostConfig(algorithm="gb", max_trees=2), select=False)
         with pytest.raises(ValueError):
             predict_log_ratio(model, np.zeros((3, 5)))

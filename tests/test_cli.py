@@ -156,6 +156,32 @@ class TestConfigAndErrors:
         assert code == 0
         assert "4 trees" in capsys.readouterr().out
 
+    def test_config_equals_form_matches_separate_form(self, tmp_path, capsys):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_trees": 3, "no_cv": true}')
+        models = []
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            model = tmp_path / f"model{len(models)}.json"
+            code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                             *form, "--out", str(model)])
+            assert code == 0
+            assert "3 trees" in capsys.readouterr().out
+            models.append(model.read_text())
+        assert models[0] == models[1]
+
+    def test_unknown_config_key_rejected_in_equals_form(self, tmp_path, capsys):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_trees": 7, "nuu": 1}')
+        model = tmp_path / "model.json"
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         f"--config={cfg}", "--out", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'nuu'") and err.count("\n") == 1
+        assert not model.exists()
+
     def test_config_without_path_is_one_line_error(self, tmp_path, capsys):
         s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
         code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),

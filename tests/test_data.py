@@ -102,6 +102,13 @@ class TestCutGrid:
                 bins <= j, x.ravel() <= g.cuts[0][j]
             )
 
+    def test_bin_indices_column_count_checked(self):
+        g = CutGrid((np.array([1.0, 2.0, 3.0]),))
+        with pytest.raises(DataError, match="points have 2 columns, cut grid expects 1$"):
+            g.bin_indices(np.array([[0.5, 1.0], [1.5, 2.0]]))
+        with pytest.raises(DataError, match=r"points have \? columns"):
+            g.bin_indices(np.array([0.5, 1.5]))
+
 
 class TestCsvIo:
     def test_round_trip_bit_identical(self, tmp_path, rng):

@@ -18,11 +18,14 @@ from batts import (
 )
 from batts.data import CutGrid
 from batts.gibbs import (
+    MoveContext,
     PosteriorDraws,
     SamplerTree,
     _grow_factor,
+    _verify_state,
     integrated_leaf_loglik,
     leaf_full_conditional,
+    mh_tree_move,
     prior_log_weight_draws,
     sample_inverse_gaussian,
 )
@@ -193,19 +196,74 @@ class TestSamplerTreeBookkeeping:
     def test_grow_then_prune_restores_root(self):
         tree = SamplerTree(6, even=False)
         rows_right = np.array([3, 4, 5])
-        tree.apply_grow(tree.root, dim=0, threshold=0.5, rows_right=rows_right)
+        tree.apply_grow(0, dim=0, threshold=0.5, rows_right=rows_right)
         assert tree.n_leaves() == 2
         np.testing.assert_array_equal(tree.leaf_idx, [0, 0, 0, 1, 1, 1])
-        tree.apply_prune(tree.root)
+        tree.apply_prune(0)
         assert tree.n_leaves() == 1
-        assert tree.root.is_leaf
+        assert tree.feature == [-1]  # the root is a leaf again
         np.testing.assert_array_equal(tree.leaf_idx, np.zeros(6))
 
     def test_contributions_track_betas(self):
         tree = SamplerTree(4, even=False)
-        tree.apply_grow(tree.root, 0, 0.0, np.array([2, 3]))
+        tree.apply_grow(0, 0, 0.0, np.array([2, 3]))
         tree.betas = np.array([-1.0, 2.0])
         np.testing.assert_array_equal(tree.contributions(), [-1, -1, 2, 2])
+
+    @staticmethod
+    def _prior_walk(n_moves, seed):
+        """Trees moved by mh_tree_move at tau = 0 (the tree prior alone) over
+        the same 30 rows for every seed; yields (tree, X, move, accepted)
+        after each move, with distinct betas per slot so that any misrouted
+        row shows."""
+        rows = np.random.default_rng(0).standard_normal((30, 2))
+        data = TwoSampleDataset(rows[:15], rows[15:] + 0.5)
+        gen = np.random.default_rng(seed)
+        grid = build_cut_grid(data, 7)
+        X = data.pooled()
+        ctx = MoveContext(grid.bin_indices(X), grid.cuts, np.ones(30), np.ones(30),
+                          0.0, data.zeta, 10.0, TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+        tree = SamplerTree(30, even=False)
+        for _ in range(n_moves):
+            move, ok = mh_tree_move(tree, ctx, gen)
+            tree.betas = gen.permutation(tree.n_leaves()) + 1.0
+            yield tree, X, move, ok
+
+    def test_moves_keep_preorder_arrays_consistent(self):
+        accepted = np.zeros(3, dtype=int)
+        most_leaves = 0
+        for tree, X, move, ok in self._prior_walk(3000, seed=5):
+            accepted[move] += ok
+            most_leaves = max(most_leaves, tree.n_leaves())
+            # bin routing inside the sampler equals float routing of the export
+            np.testing.assert_array_equal(tree.contributions(),
+                                          tree.decision_tree(2).evaluate_many(X))
+            n = len(tree.feature)
+            assert len(tree.right) == len(tree.value) == len(tree.depth) == len(tree.slot) == n
+            leaves = [i for i in range(n) if tree.feature[i] < 0]
+            assert sorted(tree.slot[i] for i in leaves) == list(range(tree.n_leaves()))
+            assert tree.depth[0] == 0
+            for i in range(n):
+                if tree.feature[i] >= 0:
+                    assert tree.slot[i] == -1
+                    assert tree.right[i] > i + 1
+                    assert tree.depth[i + 1] == tree.depth[tree.right[i]] == tree.depth[i] + 1
+        # every move type changed the tree many times, and trees grew past a stump
+        assert accepted.min() >= 100, accepted
+        assert most_leaves >= 6
+
+    def test_verify_state_catches_drift(self):
+        trees = []
+        for seed in range(3):
+            for tree, X, _, _ in self._prior_walk(40, seed):
+                pass
+            trees.append(tree)
+        assert all(t.n_leaves() > 1 for t in trees)
+        logw = sum(t.contributions() for t in trees)
+        _verify_state(trees, X, logw)
+        trees[1].betas[-1] += 1e-6  # logw not updated
+        with pytest.raises(AssertionError, match="drifted"):
+            _verify_state(trees, X, logw)
 
 
 class TestGibbsConfig:

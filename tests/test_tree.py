@@ -5,29 +5,27 @@ import pytest
 
 from batts import DecisionTree, TreePrior, route_observations, split_probability
 from batts.data import CutGrid, TwoSampleDataset, build_cut_grid
-from batts.tree import Node, sample_tree_from_prior
+from batts.tree import sample_tree_from_prior
 
 
 def _two_level_tree():
-    """Split on dim 0 at 0, then the left child on dim 1 at 0."""
-    root = Node(depth=0, dim=0, threshold=0.0)
-    root.left = Node(depth=1, dim=1, threshold=0.0)
-    root.left.left = Node(depth=2, beta=-2.0)
-    root.left.right = Node(depth=2, beta=-1.0)
-    root.right = Node(depth=1, beta=1.0)
-    return DecisionTree(root, 2)
+    """Split on dim 0 at 0, then the left child on dim 1 at 0.
+
+    Preorder nodes: 0 root, 1 its left child, 2 and 3 that child's leaves,
+    4 the root's right leaf.
+    """
+    return DecisionTree(feature=[0, 1, -1, -1, -1], right=[4, 3, -1, -1, -1],
+                        value=[0.0, 0.0, -2.0, -1.0, 1.0], dim=2)
 
 
 class TestRouting:
     def test_root_only(self):
-        t = DecisionTree(Node(depth=0, beta=0.7), 2)
+        t = DecisionTree([-1], [-1], [0.7], 2)
         assert t.evaluate([3.0, -1.0]) == 0.7
 
     def test_single_split_boundary_goes_left(self):
-        root = Node(depth=0, dim=0, threshold=2.0)
-        root.left = Node(depth=1, beta=-1.0)
-        root.right = Node(depth=1, beta=1.0)
-        t = DecisionTree(root, 2)
+        t = DecisionTree.from_dict({"dim": 0, "threshold": 2.0,
+                                    "left": {"beta": -1.0}, "right": {"beta": 1.0}}, 2)
         assert t.evaluate([1.5, 0.0]) == -1.0
         assert t.evaluate([2.0, 0.0]) == -1.0  # ties route left
         assert t.evaluate([2.1, 0.0]) == 1.0

@@ -7,7 +7,6 @@ from .boost import (
     EnsembleModel,
     fit,
     predict_log_ratio,
-    select_tree_count_cv,
 )
 from .data import (
     CutGrid,
@@ -25,13 +24,12 @@ from .gibbs import (
     update_tau,
 )
 from .loss import (
-    BalanceState,
     DivergedModelError,
     finite_sample_loss,
     hellinger_split_score,
     optimal_leaf_value,
-    pseudo_residuals,
-    rebalance_constant,
+    rebalance,
+    row_masses,
 )
 from .simulate import (
     Scenario,
@@ -40,6 +38,6 @@ from .simulate import (
     symmetrized_mse,
     true_log_ratio,
 )
-from .tree import DecisionTree, TreePrior, route_observations, split_probability
+from .tree import DecisionTree, TreePrior, split_probability
 
 __version__ = "0.1.0"

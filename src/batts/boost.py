@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
-from .loss import check_log_weights, optimal_leaf_value
+from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_value,
+                   rebalance, row_masses)
 from .tree import DecisionTree
 
 _LOSS_SLACK = 1e-12
@@ -30,6 +31,8 @@ class BoostConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
+        if self.max_trees < 1:
+            raise ValueError("max_trees must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.cv_folds < 2:
@@ -114,12 +117,15 @@ class _Grower:
     dim * width + bin, where width is one more than the largest cut count;
     so one bincount per histogram covers all dimensions, and cumulative sums
     along each dimension's row give the left-child totals of its cuts.
-    Children with observations from only one group, or with fewer than
+    The fs criterion scores a split by the affinity of its children's masses,
+    the gb criterion by the pooled variance of the pseudo-residuals +m0 and
+    -m1 (see loss.row_masses), both from the two mass histograms. Children
+    with observations from only one group, or with fewer than
     min_leaf_total pooled observations, are refused. That also refuses the
     cut indices past a dimension's own cut count, which send every row left.
     """
 
-    def __init__(self, bins0, bins1, cuts, max_depth, min_leaf_total):
+    def __init__(self, bins0, bins1, cuts, max_depth, min_leaf_total, algorithm):
         self.width = max(len(c) for c in cuts) + 1
         offsets = np.arange(len(cuts)) * self.width
         self.keys0 = bins0 + offsets
@@ -127,18 +133,15 @@ class _Grower:
         self.cuts = cuts
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
+        self.gb = algorithm == "gb"
 
-    def grow(self, m0, m1, res0=None, res1=None):
+    def grow(self, m0, m1):
         """Returns (tree, contrib0, contrib1) with per-observation leaf betas.
 
-        m0/m1 are the weighted per-observation masses (already 1/n scaled);
-        res0/res1, when given, switch the split criterion to the pooled
-        residual variance used by gradient boosting.
+        m0/m1 are the per-observation masses of loss.row_masses.
         """
         self.m0 = m0
         self.m1 = m1
-        self.res0 = res0
-        self.res1 = res1
         self.contrib0 = np.empty(m0.size)
         self.contrib1 = np.empty(m1.size)
         self.feature, self.right, self.value = [], [], []
@@ -191,18 +194,17 @@ class _Grower:
         )
         if not valid.any():
             return None
-        if self.res0 is not None:
-            r0 = self.res0[idx0]
-            r1 = self.res1[idx1]
-            r_tot = r0.sum() + r1.sum()
-            lsum = self._left_totals(k0, r0) + self._left_totals(k1, r1)
+        w0 = self.m0[idx0]
+        w1 = self.m1[idx1]
+        lp = self._left_totals(k0, w0)
+        lq = self._left_totals(k1, w1)
+        if self.gb:
+            # residual sums: +mass on group 0, -mass on group 1
+            lsum = lp - lq
+            r_tot = w0.sum() - w1.sum()
             with np.errstate(divide="ignore", invalid="ignore"):
                 score = -(lsum**2 / (lc0 + lc1) + (r_tot - lsum) ** 2 / (rc0 + rc1))
         else:
-            w0 = self.m0[idx0]
-            w1 = self.m1[idx1]
-            lp = self._left_totals(k0, w0)
-            lq = self._left_totals(k1, w1)
             # cumulative cancellation can leave tiny negative right masses
             rp = np.maximum(w0.sum() - lp, 0.0)
             rq = np.maximum(w1.sum() - lq, 0.0)
@@ -212,59 +214,34 @@ class _Grower:
         return divmod(best, self.width - 1)
 
 
-class _FitState:
-    """Incrementally maintained log-weights over the training sample."""
-
-    def __init__(self, data: TwoSampleDataset):
-        self.logw0 = np.zeros(data.n0)
-        self.logw1 = np.zeros(data.n1)
-        self.loss = 2.0
-
-    def apply(self, nu, contrib0, contrib1):
-        """Shrunken tree update followed by the rebalance correction.
-
-        Returns (log_c, loss_after). The loss after rebalancing equals
-        2*sqrt(mean(w^{-1}) * mean(w)).
-        """
-        self.logw0 += nu * contrib0
-        self.logw1 += nu * contrib1
-        e0 = np.exp(-self.logw0).mean()
-        e1 = np.exp(self.logw1).mean()
-        log_c = 0.5 * (np.log(e0) - np.log(e1))
-        self.logw0 += log_c
-        self.logw1 += log_c
-        check_log_weights(self.logw0, self.logw1)
-        loss = 2.0 * np.sqrt(e0 * e1)
-        prev, self.loss = self.loss, loss
-        if loss > prev + _LOSS_SLACK:
-            raise AssertionError(
-                f"training loss increased: {prev!r} -> {loss!r}"
-            )
-        return log_c, loss
-
-
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
                n_trees: int, on_iteration=None) -> EnsembleModel:
+    """Each tree's shrunken update is followed by the rebalance shift, which
+    the offset accumulates; the training loss must never increase."""
     grower = _Grower(
         grid.bin_indices(data.sample0),
         grid.bin_indices(data.sample1),
         grid.cuts,
         config.max_depth,
         config.min_leaf_total,
+        config.algorithm,
     )
-    state = _FitState(data)
+    logw0 = np.zeros(data.n0)
+    logw1 = np.zeros(data.n1)
     nu = config.learning_rate
     trees = []
     offset = 0.0
     losses = [2.0]
     for _ in range(n_trees):
-        m0 = np.exp(-state.logw0) / data.n0
-        m1 = np.exp(state.logw1) / data.n1
-        if config.algorithm == "gb":
-            tree, c0, c1 = grower.grow(m0, m1, res0=m0, res1=-m1)
-        else:
-            tree, c0, c1 = grower.grow(m0, m1)
-        log_c, loss = state.apply(nu, c0, c1)
+        tree, c0, c1 = grower.grow(*row_masses(logw0, logw1))
+        logw0 += nu * c0
+        logw1 += nu * c1
+        log_c, loss = rebalance(logw0, logw1)
+        logw0 += log_c
+        logw1 += log_c
+        check_log_weights(logw0, logw1)
+        if loss > losses[-1] + _LOSS_SLACK:
+            raise AssertionError(f"training loss increased: {losses[-1]!r} -> {loss!r}")
         offset += log_c
         losses.append(loss)
         trees.append(tree)
@@ -281,18 +258,14 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
     )
 
 
-def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list:
-    return np.array_split(rng.permutation(n), folds)
-
-
 def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
                   config: BoostConfig) -> np.ndarray:
     """Fold-averaged held-out loss after 0..max_trees trees."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
-    folds0 = _fold_indices(data.n0, config.cv_folds, rng)
-    folds1 = _fold_indices(data.n1, config.cv_folds, rng)
+    folds0 = np.array_split(rng.permutation(data.n0), config.cv_folds)
+    folds1 = np.array_split(rng.permutation(data.n1), config.cv_folds)
     curves = np.zeros((config.cv_folds, config.max_trees + 1))
     for f in range(config.cv_folds):
         ho0 = np.zeros(data.n0, dtype=bool)
@@ -311,22 +284,17 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
                    out=h_logw0)
             np.add(h_logw1, config.learning_rate * tree.evaluate_many(X1h) + log_c,
                    out=h_logw1)
-            held.append(np.exp(-h_logw0).mean() + np.exp(h_logw1).mean())
+            held.append(finite_sample_loss(h_logw0, h_logw1))
 
         _fit_boost(train, grid, config, config.max_trees, on_iteration=track)
         curves[f] = held
     return curves.mean(axis=0)
 
 
-def select_tree_count_cv(data: TwoSampleDataset, grid: CutGrid,
-                         config: BoostConfig) -> int:
-    """Number of trees minimizing the fold-averaged held-out loss."""
-    return int(np.argmin(cv_loss_curve(data, grid, config)))
-
-
 def fit(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
         select: bool = True) -> EnsembleModel:
     """Fit with the configured algorithm; when select is true, choose the
-    tree count by cross-validation and refit on the full sample."""
-    k = select_tree_count_cv(data, grid, config) if select else config.max_trees
+    tree count minimizing the fold-averaged held-out loss, and refit on the
+    full sample."""
+    k = int(np.argmin(cv_loss_curve(data, grid, config))) if select else config.max_trees
     return _fit_boost(data, grid, config, k)

@@ -24,19 +24,7 @@ def _add_common_data_flags(p):
                    help="equally spaced cut points per dimension (paper default: 31)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="batts",
-        description="Two-sample density ratio estimation with additive tree "
-                    "ensembles under the balancing loss.",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("fit", help="fit a boosting model",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_common_data_flags(p)
-    p.add_argument("--algo", choices=("fs", "gb"), default="gb",
-                   help="forward-stagewise or gradient boosting")
+def _add_boost_flags(p):
     p.add_argument("--max-trees", type=int, default=1000,
                    help="tree-count ceiling (paper default: 1000)")
     p.add_argument("--depth", type=int, default=4,
@@ -45,23 +33,51 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learning rate (paper default: 0.01)")
     p.add_argument("--cv-folds", type=int, default=5,
                    help="cross-validation folds for tree-count selection (paper default: 5)")
+
+
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser. It keeps the destinations of its flags, the
+    keys that a --config file may set."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests = getattr(self, "dests", set()) | {action.dest}
+        return action
+
+
+def build_parser():
+    """Returns the top-level parser and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="batts",
+        description="Two-sample density ratio estimation with additive tree "
+                    "ensembles under the balancing loss.",
+    )
+    sub = parser.add_subparsers(dest="command", parser_class=_Command)
+    commands = {}
+
+    def command(name, help):
+        commands[name] = sub.add_parser(
+            name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        return commands[name]
+
+    p = command("fit", "fit a boosting model")
+    _add_common_data_flags(p)
+    p.add_argument("--algo", choices=("fs", "gb"), default="gb",
+                   help="forward-stagewise or gradient boosting")
+    _add_boost_flags(p)
     p.add_argument("--no-cv", action="store_true",
                    help="skip CV and fit exactly --max-trees trees")
     p.add_argument("--min-leaf-total", type=int, default=5,
                    help="minimum pooled observations per child")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
     p.add_argument("--out", required=True, help="output model JSON path")
 
-    p = sub.add_parser("predict", help="evaluate a fitted model",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("predict", "evaluate a fitted model")
     p.add_argument("--model", required=True, help="model JSON from 'fit'")
     p.add_argument("--points", required=True, help="CSV of evaluation points")
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
     p.add_argument("--out", required=True, help="output CSV, one log-ratio per row")
 
-    p = sub.add_parser("bayes", help="run the generalized-Bayesian sampler",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("bayes", "run the generalized-Bayesian sampler")
     _add_common_data_flags(p)
     p.add_argument("--trees", type=int, default=200,
                    help="ensemble size K (paper default: 200)")
@@ -77,11 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated posterior quantiles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="optional CSV of per-draw tau")
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
     p.add_argument("--out", required=True, help="output posterior summary CSV")
 
-    p = sub.add_parser("simulate", help="generate a benchmark scenario",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("simulate", "generate a benchmark scenario")
     p.add_argument("--scenario", required=True, choices=simulate.SCENARIO_NAMES)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
@@ -90,18 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out1", required=True, help="output CSV for group 1")
     p.add_argument("--truth", default=None,
                    help="optional CSV of true log-ratios at the generated points")
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
 
-    p = sub.add_parser("evaluate", help="symmetrized MSE of an estimate",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("evaluate", "symmetrized MSE of an estimate")
     p.add_argument("--truth", required=True, help="CSV of true log-ratios")
     p.add_argument("--est", required=True, help="CSV of estimated log-ratios")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
 
-    p = sub.add_parser("bench", help="replicate benchmark mirroring the tables",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("bench", "replicate benchmark mirroring the tables")
     p.add_argument("--scenario", action="append", choices=simulate.SCENARIO_NAMES,
                    help="repeatable; default: all scenarios")
     p.add_argument("--sizes", default="balanced,unbalanced",
@@ -112,27 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=5,
                    help="replicates per cell (paper: 50)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trees", type=int, default=1000)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--nu", type=float, default=0.01)
-    p.add_argument("--cv-folds", type=int, default=5)
+    _add_boost_flags(p)
     p.add_argument("--bayes-trees", type=int, default=200)
     p.add_argument("--bayes-burnin", type=int, default=2000)
     p.add_argument("--bayes-draws", type=int, default=1000)
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap; falls back to BATTS_THREADS, then all cores")
-    p.add_argument("--config", help="JSON file of flag defaults; flags override")
     p.add_argument("--out", required=True, help="results CSV path")
-    return parser
+
+    for p in commands.values():
+        p.add_argument("--config", help="JSON file of flag defaults; flags override")
+    return parser, commands
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(commands, argv):
     """Make the keys of the --config JSON object the command's flag defaults,
     so that flags on the command line override them."""
     flags = [a for a in argv if a == "--config" or a.startswith("--config=")]
     if not flags:
         return
-    commands = parser._subparsers._group_actions[0].choices
     if argv[0] not in commands:
         return  # argparse rejects --config before the command
     if flags[0] == "--config":
@@ -147,7 +155,7 @@ def _apply_config_file(parser, argv):
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     command = commands[argv[0]]
-    known = {a.dest for a in command._actions} - {"help", "config"}
+    known = command.dests - {"help", "config"}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in config file {path} "
@@ -279,6 +287,8 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected fs/gb/bayes")
+    if args.replicates < 1:
+        raise ValueError("--replicates must be >= 1")
     boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
                     learning_rate=args.nu, cv_folds=args.cv_folds)
     bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,
@@ -315,9 +325,9 @@ def dispatch(argv) -> int:
     if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
         print(f"unknown command: {argv[0]}", file=sys.stderr)
         return 2
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config_file(parser, argv)
+        _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
-from .loss import BalanceState, check_log_weights, finite_sample_loss
+from .loss import check_log_weights, finite_sample_loss
 from .tree import DecisionTree, TreePrior, split_probability
 
 GROW, PRUNE, CHANGE = 0, 1, 2
@@ -103,11 +103,12 @@ def sample_inverse_gaussian(mu, lam, rng: np.random.Generator):
     return float(out) if out.ndim == 0 else out
 
 
-def update_tau(state: BalanceState, a0: float, b0: float,
+def update_tau(logw0: np.ndarray, logw1: np.ndarray, a0: float, b0: float,
                rng: np.random.Generator) -> float:
     """Draw from the Gamma full conditional: shape a0 + n, rate b0 + n*l_n."""
-    n = state.n0 + state.n1
-    rate = b0 + n * finite_sample_loss(state)
+    check_log_weights(logw0, logw1)
+    n = logw0.size + logw1.size
+    rate = b0 + n * finite_sample_loss(logw0, logw1)
     return float(rng.gamma(a0 + n, 1.0 / rate))
 
 
@@ -385,8 +386,7 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
             _resample_betas(tree, ctx, rng)
             logw += tree.contributions()
         if not prior_only:
-            state = BalanceState.from_log_weights(logw[:n0], logw[n0:n])
-            tau = update_tau(state, config.a0_tau, config.b0_tau, rng)
+            tau = update_tau(logw[:n0], logw[n0:n], config.a0_tau, config.b0_tau, rng)
         if (sweep + 1) % 100 == 0:
             _verify_state(trees, X, logw)
         if sweep >= config.burn_in:

@@ -1,9 +1,12 @@
-"""The balancing loss: finite-sample value, gradients, optimal leaf weights,
-the rebalancing constant, and the affinity split score."""
+"""The balancing loss on log-weights: finite-sample value, per-row masses
+(the negative gradients), optimal leaf weights, rebalancing, and the affinity
+split score.
+
+Every function takes the log-weights log w over group 0 and group 1 as the two
+arrays (logw0, logw1) that boosting and the sampler already hold.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +15,8 @@ LOG_WEIGHT_LIMIT = 700.0
 
 
 class DivergedModelError(RuntimeError):
-    """Raised when |log w| exceeds the overflow guard."""
+    """Raised when a log-weight is not a number or |log w| exceeds the
+    overflow guard."""
 
 
 class DegenerateLeafError(ValueError):
@@ -20,50 +24,30 @@ class DegenerateLeafError(ValueError):
 
 
 def check_log_weights(*log_arrays) -> None:
+    """Reject any entry that does not satisfy |a| <= LOG_WEIGHT_LIMIT,
+    NaN and infinities included."""
     for a in log_arrays:
-        if a.size and np.max(np.abs(a)) > LOG_WEIGHT_LIMIT:
+        # the max propagates NaN, and a comparison with NaN is false
+        if a.size and not np.max(np.abs(a)) <= LOG_WEIGHT_LIMIT:
             raise DivergedModelError(
-                f"|log w| exceeded {LOG_WEIGHT_LIMIT}; the model has diverged"
+                f"|log w| exceeded {LOG_WEIGHT_LIMIT} or is not a number; "
+                "the model has diverged"
             )
 
 
-@dataclass(frozen=True)
-class BalanceState:
-    """Per-observation balancing weights: w^{-1} on group 0, w on group 1."""
-
-    inv_w0: np.ndarray
-    w1: np.ndarray
-
-    def __post_init__(self):
-        inv_w0 = np.asarray(self.inv_w0, dtype=np.float64)
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        object.__setattr__(self, "inv_w0", inv_w0)
-        object.__setattr__(self, "w1", w1)
-        for name, a in (("inv_w0", inv_w0), ("w1", w1)):
-            if a.size == 0:
-                raise ValueError(f"{name} must be nonempty")
-            if not np.all(np.isfinite(a)) or np.any(a <= 0):
-                raise ValueError(f"{name} entries must be strictly positive and finite")
-
-    @classmethod
-    def from_log_weights(cls, logw0: np.ndarray, logw1: np.ndarray) -> "BalanceState":
-        logw0 = np.asarray(logw0, dtype=np.float64)
-        logw1 = np.asarray(logw1, dtype=np.float64)
-        check_log_weights(logw0, logw1)
-        return cls(np.exp(-logw0), np.exp(logw1))
-
-    @property
-    def n0(self) -> int:
-        return self.inv_w0.size
-
-    @property
-    def n1(self) -> int:
-        return self.w1.size
-
-
-def finite_sample_loss(state: BalanceState) -> float:
+def finite_sample_loss(logw0: np.ndarray, logw1: np.ndarray) -> float:
     """l_n(w) = mean of w^{-1} over group 0 plus mean of w over group 1."""
-    return float(np.mean(state.inv_w0) + np.mean(state.w1))
+    return float(np.exp(-logw0).mean() + np.exp(logw1).mean())
+
+
+def row_masses(logw0: np.ndarray, logw1: np.ndarray):
+    """Per-row masses w^{-1}/n0 on group 0 and w/n1 on group 1.
+
+    Summed over a leaf's rows they are the masses optimal_leaf_value takes,
+    and (m0, -m1) are the negative gradients of l_n with respect to the
+    additive value F(x), the pseudo-residuals of gradient boosting.
+    """
+    return np.exp(-logw0) / logw0.size, np.exp(logw1) / logw1.size
 
 
 def optimal_leaf_value(p_mass: float, q_mass: float) -> float:
@@ -78,25 +62,25 @@ def optimal_leaf_value(p_mass: float, q_mass: float) -> float:
     return 0.5 * (np.log(p_mass) - np.log(q_mass))
 
 
-def rebalance_constant(state: BalanceState) -> float:
-    """Scalar c equalizing the two empirical loss terms of c*w.
+def rebalance(logw0: np.ndarray, logw1: np.ndarray):
+    """The shift log_c of every log-weight that equalizes the two terms of
+    l_n, and the loss after the shift, 2*sqrt(mean(w^{-1}) * mean(w)).
 
-    Multiplying the balancing weights by c never increases the loss.
+    Shifting by log_c never increases the loss.
     """
-    return float(np.sqrt(np.mean(state.inv_w0) / np.mean(state.w1)))
-
-
-def pseudo_residuals(state: BalanceState):
-    """Negative gradients of l_n with respect to the additive value F(x).
-
-    Group-0 entries are positive, group-1 entries negative.
-    """
-    return state.inv_w0 / state.n0, -state.w1 / state.n1
+    e0 = np.exp(-logw0).mean()
+    e1 = np.exp(logw1).mean()
+    return 0.5 * (np.log(e0) - np.log(e1)), 2.0 * np.sqrt(e0 * e1)
 
 
 def hellinger_split_score(pl: float, ql: float, pr: float, qr: float) -> float:
     """Affinity of a candidate split, with each group normalized over the
-    two children. Ranges over [0, 1]; lower means a sharper separation."""
+    two children. Ranges over [0, 1]; lower means a sharper separation.
+
+    This is the test oracle for the fs score of boosting's split search,
+    sqrt(pl*ql) + sqrt(pr*qr), which drops the constant normalization
+    sqrt((pl + pr) * (ql + qr)) of the node.
+    """
     if min(pl, ql, pr, qr) < 0:
         raise ValueError("leaf masses must be nonnegative")
     p_tot = pl + pr

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +144,6 @@ class DecisionTree:
                 value.append(float(node["threshold"]))
         return cls(feature, right, value, dim)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str, dim: int) -> "DecisionTree":
-        return cls.from_dict(json.loads(s), dim)
-
 
 def _to_dict(feature, right, value, i) -> dict:
     if feature[i] < 0:
@@ -183,18 +174,6 @@ def split_probability(prior: TreePrior, depth: int) -> float:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     return prior.a_T * (1.0 + depth) ** (-prior.b_T)
-
-
-def route_observations(tree: DecisionTree, data) -> list:
-    """Partition both samples' row indices by leaf.
-
-    Returns a list of (indices0, indices1) pairs aligned with tree.leaves().
-    """
-    if data.dim != tree.dim:
-        raise ValueError(f"dataset has dimension {data.dim}, tree expects {tree.dim}")
-    b0 = tree.leaf_memberships(data.sample0)
-    b1 = tree.leaf_memberships(data.sample1)
-    return list(zip(b0, b1))
 
 
 def sample_tree_from_prior(prior: TreePrior, grid, rng: np.random.Generator,

@@ -14,12 +14,10 @@ from batts import (
     build_cut_grid,
     fit,
     predict_log_ratio,
-    select_tree_count_cv,
 )
 from batts.boost import _Grower, _fit_boost, cv_loss_curve
 from batts.data import CutGrid
-from batts.loss import (BalanceState, finite_sample_loss, hellinger_split_score,
-                        optimal_leaf_value)
+from batts.loss import finite_sample_loss, hellinger_split_score, optimal_leaf_value
 
 
 class TestConfig:
@@ -32,6 +30,8 @@ class TestConfig:
         "kwargs",
         [
             {"algorithm": "xgb"},
+            {"max_trees": 0},
+            {"max_trees": -2},
             {"learning_rate": 0.0},
             {"learning_rate": 1.5},
             {"max_depth": 0},
@@ -132,9 +132,8 @@ class TestSplitSearch:
             m1 = rng.uniform(0.5, 2.0, n1) / n1
             res0 = m0 if gb else None
             res1 = -m1 if gb else None
-            grower = _Grower(b0, b1, grid.cuts, 4, 5)
+            grower = _Grower(b0, b1, grid.cuts, 4, 5, "gb" if gb else "fs")
             grower.m0, grower.m1 = m0, m1
-            grower.res0, grower.res1 = res0, res1
             got = grower._best_split(np.arange(n0), np.arange(n1))
             want = self._brute_force(b0, b1, m0, m1, res0, res1, 7, 5)
             assert got == want
@@ -186,9 +185,9 @@ class TestSplitSearch:
             m1 = gen.uniform(0.5, 2.0, n1) / n1
             idx0 = np.sort(gen.choice(n0, size=n0 * 3 // 4, replace=False))
             idx1 = np.sort(gen.choice(n1, size=n1 * 3 // 4, replace=False))
-            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 4, 5)
+            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 4, 5,
+                             "gb" if gb else "fs")
             grower.m0, grower.m1 = m0, m1
-            grower.res0, grower.res1 = (m0, -m1) if gb else (None, None)
             got = grower._best_split(idx0, idx1)
             r0, r1 = (m0[idx0], -m1[idx1]) if gb else (None, None)
             want = self._oracle(s0[idx0], s1[idx1], cuts, m0[idx0], m1[idx1], r0, r1, 5)
@@ -278,8 +277,8 @@ class TestTrainingBehaviour:
         assert tree.n_leaves() > 1
         P = np.array([i.size for i in tree.leaf_memberships(data.sample0)]) / data.n0
         Q = np.array([i.size for i in tree.leaf_memberships(data.sample1)]) / data.n1
-        before = finite_sample_loss(BalanceState.from_log_weights(
-            tree.evaluate_many(data.sample0), tree.evaluate_many(data.sample1)))
+        before = finite_sample_loss(tree.evaluate_many(data.sample0),
+                                    tree.evaluate_many(data.sample1))
         assert before == pytest.approx(2 * np.sum(np.sqrt(P * Q)), rel=1e-12)
         # at the leaf optima both loss terms already equal sum sqrt(P Q), so
         # the rebalance step is a no-op
@@ -337,7 +336,7 @@ class TestTrainingBehaviour:
         X = data.pooled()
         np.testing.assert_array_equal(predict_log_ratio(a, X),
                                       predict_log_ratio(b, X))
-        assert [t.to_json() for t in a.trees] == [t.to_json() for t in b.trees]
+        assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
 
 
 class TestCrossValidation:
@@ -347,22 +346,22 @@ class TestCrossValidation:
         curve = cv_loss_curve(data, grid, config)
         assert curve.shape == (31,)
         assert curve[0] == pytest.approx(2.0)
-        k = select_tree_count_cv(data, grid, config)
+        k = int(np.argmin(cv_loss_curve(data, grid, config)))
         assert 0 <= k <= 30
         assert curve[k] == curve.min()
 
     def test_separated_data_selects_positive_k(self, shifted_2d):
         data, grid = shifted_2d
-        k = select_tree_count_cv(
+        k = np.argmin(cv_loss_curve(
             data, grid, BoostConfig(algorithm="fs", max_trees=30,
-                                    cv_folds=3, seed=2))
+                                    cv_folds=3, seed=2)))
         assert k >= 1
 
     def test_fit_with_selection(self, shifted_2d):
         data, grid = shifted_2d
         config = BoostConfig(algorithm="gb", max_trees=30, cv_folds=3, seed=1)
         model = fit(data, grid, config, select=True)
-        assert len(model.trees) == select_tree_count_cv(data, grid, config)
+        assert len(model.trees) == np.argmin(cv_loss_curve(data, grid, config))
 
     def test_too_few_observations_for_folds(self):
         data = TwoSampleDataset(np.array([[0.0], [1.0]]),

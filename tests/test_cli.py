@@ -130,6 +130,16 @@ class TestBench:
                          "--out", str(out)]) == 1
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("replicates", ["0", "-1"])
+    def test_replicates_below_one_rejected(self, tmp_path, capsys, replicates):
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "fs", "--replicates", replicates,
+                         "--threads", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --replicates must be >= 1\n"
+        assert not out.exists()
+
 
 class TestConfigAndErrors:
     def test_config_file_sets_defaults(self, tmp_path, capsys):
@@ -200,6 +210,16 @@ class TestConfigAndErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key 'nuu'") and err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--no-cv"]])
+    def test_nonpositive_max_trees_is_one_line_error(self, tmp_path, capsys, extra):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        model = tmp_path / "model.json"
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "-2", *extra, "--out", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: max_trees must be >= 1\n"
         assert not model.exists()
 
     def test_unknown_command_exits_2(self, capsys):

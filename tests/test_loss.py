@@ -1,49 +1,51 @@
 """Balancing-loss oracles: loss value, gradients, optimal leaf weights,
-rebalancing, and the affinity split score."""
+rebalancing, and the affinity split score, all on log-weights."""
 
 import numpy as np
 import pytest
 
 from batts import (
-    BalanceState,
+    DataError,
     DivergedModelError,
+    TwoSampleDataset,
     finite_sample_loss,
     hellinger_split_score,
     optimal_leaf_value,
-    pseudo_residuals,
-    rebalance_constant,
+    rebalance,
+    row_masses,
 )
-from batts.loss import DegenerateLeafError, check_log_weights
+from batts.loss import LOG_WEIGHT_LIMIT, DegenerateLeafError, check_log_weights
 
 
-def _random_state(gen, n0=50, n1=40, scale=1.0):
-    return BalanceState.from_log_weights(
-        scale * gen.standard_normal(n0), scale * gen.standard_normal(n1)
-    )
+def _random_log_weights(gen, n0=50, n1=40, scale=1.0):
+    return scale * gen.standard_normal(n0), scale * gen.standard_normal(n1)
 
 
 class TestFiniteSampleLoss:
     def test_direct_arithmetic_oracle(self):
         # n0=2 with w^{-1}={0.5, 0.25}; n1=1 with w={0.5} -> 0.875
-        state = BalanceState(np.array([0.5, 0.25]), np.array([0.5]))
-        assert finite_sample_loss(state) == pytest.approx(0.875)
+        logw0 = -np.log([0.5, 0.25])
+        logw1 = np.log([0.5])
+        assert finite_sample_loss(logw0, logw1) == pytest.approx(0.875)
 
     def test_unit_weights_give_two(self):
-        state = BalanceState.from_log_weights(np.zeros(9), np.zeros(4))
-        assert finite_sample_loss(state) == pytest.approx(2.0)
+        assert finite_sample_loss(np.zeros(9), np.zeros(4)) == pytest.approx(2.0)
 
     def test_loss_is_at_least_two_after_rebalance(self, rng):
         # 2*sqrt(mean(w^{-1}) mean(w)) >= 2 by AM-GM against Jensen
-        state = _random_state(rng)
-        c = rebalance_constant(state)
-        balanced = BalanceState(state.inv_w0 / c, state.w1 * c)
-        assert finite_sample_loss(balanced) >= 2.0 - 1e-12
+        logw0, logw1 = _random_log_weights(rng)
+        log_c, _ = rebalance(logw0, logw1)
+        assert finite_sample_loss(logw0 + log_c, logw1 + log_c) >= 2.0 - 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BalanceState(np.array([]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            BalanceState(np.array([0.0]), np.array([1.0]))
+        # A zero weight is an infinite log-weight, which the guard refuses;
+        # an empty group is refused when the dataset is built.
+        with pytest.raises(DivergedModelError):
+            check_log_weights(np.array([np.inf]), np.array([0.0]))
+        with pytest.raises(DivergedModelError):
+            check_log_weights(np.array([0.0]), np.array([-np.inf]))
+        with pytest.raises(DataError):
+            TwoSampleDataset(np.empty((0, 1)), np.ones((1, 1)))
 
 
 class TestOptimalLeafValue:
@@ -77,28 +79,35 @@ class TestOptimalLeafValue:
 
 class TestRebalanceConstant:
     def test_closed_form(self):
-        state = BalanceState(np.array([4.0]), np.array([1.0]))
-        assert rebalance_constant(state) == pytest.approx(2.0)
+        # w^{-1} = 4 on group 0 and w = 1 on group 1: c = sqrt(4 / 1) = 2,
+        # and the loss after is 2*sqrt(4 * 1) = 4
+        log_c, loss = rebalance(np.array([-np.log(4.0)]), np.array([0.0]))
+        assert log_c == pytest.approx(np.log(2.0))
+        assert loss == pytest.approx(4.0)
 
     def test_equalizes_the_two_terms(self, rng):
-        state = _random_state(rng)
-        c = rebalance_constant(state)
-        assert np.mean(state.inv_w0 / c) == pytest.approx(np.mean(state.w1 * c))
+        logw0, logw1 = _random_log_weights(rng)
+        log_c, loss = rebalance(logw0, logw1)
+        term0 = np.mean(np.exp(-(logw0 + log_c)))
+        term1 = np.mean(np.exp(logw1 + log_c))
+        assert term0 == pytest.approx(term1)
+        assert loss == pytest.approx(term0 + term1)
 
     def test_never_increases_loss(self, rng):
         for _ in range(25):
-            state = _random_state(rng, scale=2.0)
-            c = rebalance_constant(state)
-            after = BalanceState(state.inv_w0 / c, state.w1 * c)
-            assert finite_sample_loss(after) <= finite_sample_loss(state) + 1e-12
+            logw0, logw1 = _random_log_weights(rng, scale=2.0)
+            log_c, loss = rebalance(logw0, logw1)
+            after = finite_sample_loss(logw0 + log_c, logw1 + log_c)
+            assert after == pytest.approx(loss, rel=1e-12)
+            assert after <= finite_sample_loss(logw0, logw1) + 1e-12
 
 
 class TestPseudoResiduals:
     def test_signs_and_scale(self):
-        state = BalanceState(np.array([2.0, 4.0]), np.array([3.0]))
-        r0, r1 = pseudo_residuals(state)
-        np.testing.assert_allclose(r0, [1.0, 2.0])
-        np.testing.assert_allclose(r1, [-3.0])
+        # w^{-1} = {2, 4} over n0 = 2 and w = {3} over n1 = 1
+        m0, m1 = row_masses(-np.log([2.0, 4.0]), np.log([3.0]))
+        np.testing.assert_allclose(m0, [1.0, 2.0])
+        np.testing.assert_allclose(-m1, [-3.0])
 
     def test_finite_difference_oracle(self, rng):
         """Criterion: residuals match central differences of l_n (h=1e-6)
@@ -108,12 +117,9 @@ class TestPseudoResiduals:
             n0, n1 = rng.integers(3, 12, size=2)
             f0 = rng.standard_normal(n0)
             f1 = rng.standard_normal(n1)
-
-            def loss(logw0, logw1):
-                return finite_sample_loss(BalanceState.from_log_weights(logw0, logw1))
-
-            state = BalanceState.from_log_weights(f0, f1)
-            r0, r1 = pseudo_residuals(state)
+            m0, m1 = row_masses(f0, f1)
+            r0, r1 = m0, -m1
+            loss = finite_sample_loss
             i = int(rng.integers(n0))
             e = np.zeros(n0)
             e[i] = h
@@ -153,7 +159,19 @@ class TestDivergenceGuard:
         with pytest.raises(DivergedModelError):
             check_log_weights(np.array([701.0]))
         with pytest.raises(DivergedModelError):
-            BalanceState.from_log_weights(np.array([0.0]), np.array([-800.0]))
+            check_log_weights(np.array([0.0]), np.array([-800.0]))
 
     def test_passes_within_limit(self):
         check_log_weights(np.array([699.0]), np.array([-699.0]))
+        check_log_weights(np.array([LOG_WEIGHT_LIMIT]), np.array([-LOG_WEIGHT_LIMIT]))
+        check_log_weights(np.array([]), np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_non_finite(self, bad, position):
+        """NaN and infinities fail |a| <= LOG_WEIGHT_LIMIT in either array,
+        also among finite entries."""
+        arrays = [np.zeros(5), np.zeros(3)]
+        arrays[position][1] = bad
+        with pytest.raises(DivergedModelError):
+            check_log_weights(*arrays)

@@ -1,9 +1,11 @@
 """Tree routing, serialization, and the recursive split prior."""
 
+import json
+
 import numpy as np
 import pytest
 
-from batts import DecisionTree, TreePrior, route_observations, split_probability
+from batts import DecisionTree, TreePrior, split_probability
 from batts.data import CutGrid, TwoSampleDataset, build_cut_grid
 from batts.tree import sample_tree_from_prior
 
@@ -60,7 +62,8 @@ class TestRouting:
         t = _two_level_tree()
         data = TwoSampleDataset(rng.standard_normal((30, 2)),
                                 rng.standard_normal((20, 2)))
-        routed = route_observations(t, data)
+        routed = list(zip(t.leaf_memberships(data.sample0),
+                          t.leaf_memberships(data.sample1)))
         assert len(routed) == t.n_leaves()
         assert sum(a.size for a, _ in routed) == 30
         assert sum(b.size for _, b in routed) == 20
@@ -76,13 +79,13 @@ class TestRouting:
 class TestSerialization:
     def test_round_trip(self):
         t = _two_level_tree()
-        clone = DecisionTree.from_json(t.to_json(), 2)
+        clone = DecisionTree.from_dict(json.loads(json.dumps(t.to_dict())), 2)
         X = np.random.default_rng(5).standard_normal((64, 2))
         np.testing.assert_array_equal(t.evaluate_many(X), clone.evaluate_many(X))
-        assert clone.to_json() == t.to_json()
+        assert clone.to_dict() == t.to_dict()
 
     def test_depths_restored(self):
-        clone = DecisionTree.from_json(_two_level_tree().to_json(), 2)
+        clone = DecisionTree.from_dict(_two_level_tree().to_dict(), 2)
         assert [leaf.depth for leaf in clone.leaves()] == [2, 2, 1]
 
 

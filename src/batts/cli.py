@@ -184,7 +184,20 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _parse_quantiles(text: str) -> list:
+    try:
+        quantiles = [float(q) for q in text.split(",") if q]
+    except ValueError:
+        raise ValueError(f"--quantiles must be comma-separated numbers, got {text!r}") from None
+    gibbs.check_quantiles(quantiles)
+    return quantiles
+
+
 def _cmd_bayes(args) -> int:
+    # checked before sampling, which takes minutes at the paper defaults
+    quantiles = _parse_quantiles(args.quantiles)
+    if args.draws < 1:
+        raise ValueError("--draws must be >= 1")
     data = load_dataset(args.sample0, args.sample1)
     grid = build_cut_grid(data, args.cuts_per_dim)
     config = gibbs.GibbsConfig(
@@ -193,7 +206,6 @@ def _cmd_bayes(args) -> int:
     )
     eval_pts = load_matrix(args.eval_points) if args.eval_points else None
     draws = gibbs.run_sampler(data, grid, config, eval_points=eval_pts)
-    quantiles = [float(q) for q in args.quantiles.split(",") if q]
     means, qs = gibbs.summarize(draws, quantiles)
     with open(args.out, "w") as fh:
         fh.write(f"# seed={args.seed}\n")
@@ -289,6 +301,8 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"unknown method {m!r}; expected fs/gb/bayes")
     if args.replicates < 1:
         raise ValueError("--replicates must be >= 1")
+    if "bayes" in methods and args.bayes_draws < 1:
+        raise ValueError("--bayes-draws must be >= 1")
     boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
                     learning_rate=args.nu, cv_folds=args.cv_folds)
     bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,

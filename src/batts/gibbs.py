@@ -5,6 +5,7 @@ the temperature, and posterior summarization."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ class GibbsConfig:
             raise ValueError("move_probs must be three nonnegative values summing to 1")
         if self.burn_in < 0 or self.draws < 0:
             raise ValueError("burn_in and draws must be >= 0")
+        self.tree_prior()  # TreePrior validates a_T and b_T
 
     @property
     def leaf_precision(self) -> float:
@@ -57,19 +59,20 @@ class LeafPosteriorParams:
     lambda_prime: float
 
 
-def _posterior_params(s0, s1, tau, zeta, lam, even, mu=1.0):
-    """Inverse-Gaussian full-conditional parameters for a leaf.
+def _posterior_params(s0: float, s1: float, tau: float, zeta: float, lam: float,
+                      even: bool):
+    """Inverse-Gaussian full-conditional parameters (mu', lam') of one leaf,
+    in Python floats; the prior is IG(1, lam).
 
     For odd-indexed trees these parameterize gamma = e^beta; for
     even-indexed trees the group roles swap and they parameterize 1/gamma.
     """
-    a = 2.0 * tau * np.asarray(s0) / zeta
-    b = 2.0 * tau * np.asarray(s1) / (1.0 - zeta)
+    a = 2.0 * tau * s0 / zeta
+    b = 2.0 * tau * s1 / (1.0 - zeta)
     if even:
         a, b = b, a
     lam_p = lam + a
-    mu_p = np.sqrt(lam_p / (lam / mu**2 + b))
-    return mu_p, lam_p
+    return math.sqrt(lam_p / (lam + b)), lam_p
 
 
 def leaf_full_conditional(s0: float, s1: float, tau: float, zeta: float,
@@ -77,14 +80,17 @@ def leaf_full_conditional(s0: float, s1: float, tau: float, zeta: float,
     if s0 < 0 or s1 < 0 or tau < 0:
         raise ValueError("leaf sums and tau must be nonnegative")
     mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, even=(parity == "even"))
-    return LeafPosteriorParams(float(mu_p), float(lam_p))
+    return LeafPosteriorParams(mu_p, lam_p)
 
 
 def integrated_leaf_loglik(s0, s1, tau, zeta, lam, even=False):
     """log of the leaf likelihood with the leaf parameter integrated out:
     0.5*(log lam - log lam') + lam - lam'/mu' (prior mean 1)."""
     mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, even)
-    return 0.5 * (np.log(lam) - np.log(lam_p)) + lam - lam_p / mu_p
+    return 0.5 * (math.log(lam) - math.log(lam_p)) + lam - lam_p / mu_p
+
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def sample_inverse_gaussian(mu, lam, rng: np.random.Generator):
@@ -97,7 +103,7 @@ def sample_inverse_gaussian(mu, lam, rng: np.random.Generator):
     x = mu + mu**2 * y / (2.0 * lam) - mu / (2.0 * lam) * np.sqrt(
         4.0 * mu * lam * y + mu**2 * y**2
     )
-    x = np.maximum(x, np.finfo(np.float64).tiny)
+    x = np.maximum(x, _TINY)
     u = rng.random(shape)
     out = np.where(u <= mu / (mu + x), x, mu**2 / x)
     return float(out) if out.ndim == 0 else out
@@ -132,7 +138,8 @@ class SamplerTree:
     feature (-1 at a leaf), right (the right child's index, -1 at a leaf)
     and value (the threshold at an internal node), plus each node's depth
     and slot. A leaf's slot is its index into betas, -1 at internal nodes;
-    leaf_idx holds each row's leaf slot.
+    leaf_idx holds each row's leaf slot, as int32 to halve the memory of an
+    ensemble's row index.
     """
 
     def __init__(self, n_rows: int, even: bool):
@@ -142,11 +149,12 @@ class SamplerTree:
         self.depth = [0]
         self.slot = [0]
         self.betas = np.zeros(1)
-        self.leaf_idx = np.zeros(n_rows, dtype=np.int64)
+        self.leaf_idx = np.zeros(n_rows, dtype=np.int32)
         self.even = even
 
     def contributions(self) -> np.ndarray:
-        return self.betas[self.leaf_idx]
+        # take, unlike fancy indexing, costs no more with an int32 index
+        return self.betas.take(self.leaf_idx)
 
     def rows_of(self, slot: int) -> np.ndarray:
         return np.nonzero(self.leaf_idx == slot)[0]
@@ -206,22 +214,44 @@ class SamplerTree:
 
 
 class MoveContext:
-    """Everything a tree move needs about the residual state w_{-k}."""
+    """Everything a tree update needs about the residual state w_{-k}.
 
-    def __init__(self, bins, cuts, w0row, w1row, tau, zeta, lam,
+    run_sampler builds one per run. Before each tree update, set_residual
+    refills the per-row weights in place: w0row holds w^{-1} on group-0 rows
+    [0, n0) and w1row holds w on group-1 rows [n0, n); both are 0 elsewhere,
+    including on evaluation rows past n. tau starts at 0, where moves follow
+    the tree prior alone, and run_sampler sets it once per sweep.
+    """
+
+    def __init__(self, bins, cuts, n0: int, n: int, zeta: float, lam: float,
                  prior: TreePrior, move_probs):
-        self.bins = bins
+        # one contiguous bin column per dimension, for the moves' row splits
+        self.columns = [np.ascontiguousarray(bins[:, d]) for d in range(bins.shape[1])]
         self.cuts = cuts
-        self.w0row = w0row
-        self.w1row = w1row
-        self.tau = tau
+        self.n0, self.n = n0, n
+        self.w0row = np.zeros(bins.shape[0])
+        self.w1row = np.zeros(bins.shape[0])
+        self.tau = 0.0
         self.zeta = zeta
         self.lam = lam
         self.prior = prior
-        self.move_probs = np.asarray(move_probs)
+        # Generator.choice(3, p=move_probs) draws one uniform and searches
+        # this normalized cdf with side="right"
+        cdf = np.cumsum(np.asarray(move_probs, dtype=np.float64))
+        cdf /= cdf[-1]
+        self.cdf = cdf.tolist()
+
+    def draw_move(self, rng: np.random.Generator) -> int:
+        return bisect_right(self.cdf, rng.random())
+
+    def set_residual(self, logw: np.ndarray) -> None:
+        n0, n = self.n0, self.n
+        np.negative(logw[:n0], out=self.w0row[:n0])
+        np.exp(self.w0row[:n0], out=self.w0row[:n0])
+        np.exp(logw[n0:n], out=self.w1row[n0:n])
 
     def leaf_stats(self, rows: np.ndarray):
-        return self.w0row[rows].sum(), self.w1row[rows].sum()
+        return float(self.w0row.take(rows).sum()), float(self.w1row.take(rows).sum())
 
     def loglik(self, s0, s1, even):
         return integrated_leaf_loglik(s0, s1, self.tau, self.zeta, self.lam, even)
@@ -239,7 +269,7 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
     Returns (move, accepted). PRUNE/CHANGE on a root-only tree are no-ops
     counted as rejections.
     """
-    move = int(rng.choice(3, p=ctx.move_probs))
+    move = ctx.draw_move(rng)
     feature = tree.feature
     # Leaves and second-generation internal nodes (internal nodes whose two
     # children are leaves), in preorder. An internal node whose left child
@@ -250,10 +280,10 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
     even = tree.even
     if move == GROW:
         leaf = leaves[int(rng.integers(len(leaves)))]
-        dim = int(rng.integers(ctx.bins.shape[1]))
+        dim = int(rng.integers(len(ctx.columns)))
         j = int(rng.integers(len(ctx.cuts[dim])))
         rows = tree.rows_of(tree.slot[leaf])
-        go_left = ctx.bins[rows, dim] <= j
+        go_left = ctx.columns[dim].take(rows) <= j
         rows_l, rows_r = rows[go_left], rows[~go_left]
         s0l, s1l = ctx.leaf_stats(rows_l)
         s0r, s1r = ctx.leaf_stats(rows_r)
@@ -291,10 +321,10 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
             return move, True
         return move, False
     # CHANGE: resample the rule from the prior; prior x transition ratio is 1.
-    dim = int(rng.integers(ctx.bins.shape[1]))
+    dim = int(rng.integers(len(ctx.columns)))
     j = int(rng.integers(len(ctx.cuts[dim])))
     rows = np.concatenate([rows_l, rows_r])
-    go_left = ctx.bins[rows, dim] <= j
+    go_left = ctx.columns[dim].take(rows) <= j
     new_l, new_r = rows[go_left], rows[~go_left]
     s0nl, s1nl = ctx.leaf_stats(new_l)
     s0nr, s1nr = ctx.leaf_stats(new_r)
@@ -307,12 +337,31 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
 
 def _resample_betas(tree: SamplerTree, ctx: MoveContext,
                     rng: np.random.Generator) -> None:
+    """Redraw every leaf beta from its inverse-Gaussian full conditional.
+
+    This is sample_inverse_gaussian leaf by leaf, in Python floats, on the
+    same standard_normal(nl) and random(nl) draws, so the draws are bit-equal
+    to it. Each group's leaf sums add its rows in row order, as a bincount
+    over all rows with zero weight on the other group's rows does.
+    """
     nl = tree.n_leaves()
-    s0 = np.bincount(tree.leaf_idx, weights=ctx.w0row, minlength=nl)[:nl]
-    s1 = np.bincount(tree.leaf_idx, weights=ctx.w1row, minlength=nl)[:nl]
-    mu_p, lam_p = _posterior_params(s0, s1, ctx.tau, ctx.zeta, ctx.lam, tree.even)
-    z = sample_inverse_gaussian(mu_p, lam_p, rng)
-    tree.betas = -np.log(z) if tree.even else np.log(z)
+    n0, n = ctx.n0, ctx.n
+    s0 = np.bincount(tree.leaf_idx[:n0], weights=ctx.w0row[:n0], minlength=nl)
+    s1 = np.bincount(tree.leaf_idx[n0:n], weights=ctx.w1row[n0:n], minlength=nl)
+    y = rng.standard_normal(nl)
+    u = rng.random(nl)
+    tau, zeta, lam, even = ctx.tau, ctx.zeta, ctx.lam, tree.even
+    z = []
+    for s0l, s1l, g, ul in zip(s0.tolist(), s1.tolist(), y.tolist(), u.tolist()):
+        mu, lam_p = _posterior_params(s0l, s1l, tau, zeta, lam, even)
+        # Michael-Schucany-Haas, in the operation order of sample_inverse_gaussian
+        yl = g * g
+        x = mu + mu * mu * yl / (2.0 * lam_p) - mu / (2.0 * lam_p) * math.sqrt(
+            4.0 * mu * lam_p * yl + mu * mu * (yl * yl))
+        x = max(x, _TINY)
+        z.append(x if ul <= mu / (mu + x) else mu * mu / x)
+    betas = np.log(z)
+    tree.betas = np.negative(betas, out=betas) if even else betas
 
 
 @dataclass
@@ -342,7 +391,7 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     Evaluation points default to the union of the two training samples.
     """
     rng = np.random.default_rng(config.seed)
-    n0, n1, n = data.n0, data.n1, data.n
+    n0, n = data.n0, data.n
     train = data.pooled()
     if eval_points is None:
         X = train
@@ -354,10 +403,8 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
         X = np.vstack([train, eval_points])
         eval_lo = n
     N = X.shape[0]
-    bins = grid.bin_indices(X)
-    prior = config.tree_prior()
-    lam = config.leaf_precision
-    zeta = data.zeta
+    ctx = MoveContext(grid.bin_indices(X), grid.cuts, n0, n, data.zeta,
+                      config.leaf_precision, config.tree_prior(), config.move_probs)
     trees = [SamplerTree(N, even=(k % 2 == 1)) for k in range(config.n_trees)]
     logw = np.zeros(N)
     tau = 0.0 if prior_only else config.a0_tau / config.b0_tau
@@ -369,22 +416,20 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     mean_depth = np.empty(config.draws)
     attempts = np.zeros((total, 3), dtype=np.int64)
     accepts = np.zeros((total, 3), dtype=np.int64)
-    w0row = np.zeros(N)
-    w1row = np.zeros(N)
     for sweep in range(total):
+        ctx.tau = tau
+        tried, taken = [0, 0, 0], [0, 0, 0]
         for tree in trees:
             logw -= tree.contributions()
             check_log_weights(logw[:n])
-            w0row[:n0] = np.exp(-logw[:n0])
-            w1row[n0:n] = np.exp(logw[n0:n])
-            ctx = MoveContext(bins, grid.cuts, w0row, w1row, tau, zeta, lam,
-                              prior, config.move_probs)
+            ctx.set_residual(logw)
             move, ok = mh_tree_move(tree, ctx, rng)
-            attempts[sweep, move] += 1
-            if ok:
-                accepts[sweep, move] += 1
+            tried[move] += 1
+            taken[move] += ok
             _resample_betas(tree, ctx, rng)
             logw += tree.contributions()
+        attempts[sweep] = tried
+        accepts[sweep] = taken
         if not prior_only:
             tau = update_tau(logw[:n0], logw[n0:n], config.a0_tau, config.b0_tau, rng)
         if (sweep + 1) % 100 == 0:
@@ -410,6 +455,14 @@ def _verify_state(trees, X, logw, tol=1e-8) -> None:
         raise AssertionError(f"incremental log-weight state drifted by {err}")
 
 
+def check_quantiles(quantiles) -> np.ndarray:
+    """The quantile levels as an array; each must lie strictly inside (0, 1)."""
+    q = np.asarray(quantiles, dtype=np.float64)
+    if not np.all((q > 0) & (q < 1)):  # NaN fails too
+        raise ValueError("quantiles must lie strictly inside (0, 1)")
+    return q
+
+
 def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):
     """Per-point posterior mean and linear-interpolation quantiles of log r.
 
@@ -417,9 +470,7 @@ def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):
     """
     if draws.n_draws == 0:
         raise ValueError("no posterior draws to summarize")
-    q = np.asarray(quantiles, dtype=np.float64)
-    if np.any((q <= 0) | (q >= 1)):
-        raise ValueError("quantiles must lie strictly inside (0, 1)")
+    q = check_quantiles(quantiles)
     means = draws.log_ratio_draws.mean(axis=0)
     qs = np.quantile(draws.log_ratio_draws, q, axis=0).T
     return means, qs

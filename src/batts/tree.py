@@ -50,10 +50,7 @@ class DecisionTree:
     def _nodes(self) -> list:
         """The tree as linked Nodes, in preorder."""
         feature, right, value = self.feature.tolist(), self.right.tolist(), self.value.tolist()
-        depth = [0] * len(feature)
-        for i, f in enumerate(feature):
-            if f >= 0:
-                depth[i + 1] = depth[right[i]] = depth[i] + 1
+        depth = self._depths()
         nodes = [None] * len(feature)
         # children follow their parent in preorder, so build back to front
         for i in reversed(range(len(feature))):
@@ -63,6 +60,15 @@ class DecisionTree:
                 nodes[i] = Node(depth=depth[i], dim=feature[i], threshold=value[i],
                                 left=nodes[i + 1], right=nodes[right[i]])
         return nodes
+
+    def _depths(self) -> list:
+        """Each node's depth, read off the preorder arrays."""
+        feature, right = self.feature.tolist(), self.right.tolist()
+        depth = [0] * len(feature)
+        for i, f in enumerate(feature):
+            if f >= 0:
+                depth[i + 1] = depth[right[i]] = depth[i] + 1
+        return depth
 
     @property
     def root(self) -> Node:
@@ -117,7 +123,7 @@ class DecisionTree:
         return routed
 
     def max_depth(self) -> int:
-        return max(leaf.depth for leaf in self.leaves())
+        return max(self._depths())
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature < 0))

@@ -354,8 +354,8 @@ class TestCriterion9PriorRecovery:
         bins = grid.bin_indices(data.pooled())
         prior = TreePrior()
         tree = SamplerTree(20, even=False)
-        ctx = MoveContext(bins, grid.cuts, np.zeros(20), np.zeros(20),
-                          0.0, 0.5, 10.0, prior, (1 / 3, 1 / 3, 1 / 3))
+        ctx = MoveContext(bins, grid.cuts, 10, 20, 0.5, 10.0, prior,
+                          (1 / 3, 1 / 3, 1 / 3))  # tau starts at 0
         rng = np.random.default_rng(42)
         n_sweeps = 100_000
         depth = np.empty(n_sweeps, dtype=np.int64)

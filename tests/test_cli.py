@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from batts import cli, gibbs
 from batts.cli import dispatch, run_bench
 from batts.data import load_matrix
 
@@ -88,6 +89,28 @@ class TestBayesCommand:
         assert float(row[2]) <= float(row[1]) <= float(row[3])
         assert load_matrix(trace).shape == (30, 1)
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--quantiles", "1.5"], "error: quantiles must lie strictly inside (0, 1)\n"),
+        (["--quantiles", "0.1,nan"], "error: quantiles must lie strictly inside (0, 1)\n"),
+        (["--quantiles", "abc"],
+         "error: --quantiles must be comma-separated numbers, got 'abc'\n"),
+        (["--draws", "0"], "error: --draws must be >= 1\n"),
+    ])
+    def test_bad_request_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                  extra, message):
+        s0, s1, _ = _simulate(tmp_path, n0=80, n1=80)
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_sampler was entered")
+
+        monkeypatch.setattr(gibbs, "run_sampler", never)
+        out = tmp_path / "post.csv"
+        code = dispatch(["bayes", "--sample0", str(s0), "--sample1", str(s1),
+                         *extra, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestBench:
     def test_tiny_bench_csv(self, tmp_path):
@@ -138,6 +161,19 @@ class TestBench:
                          "--threads", "1", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: --replicates must be >= 1\n"
+        assert not out.exists()
+
+    def test_bayes_draws_below_one_rejected(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench was entered")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "bayes", "--bayes-draws", "0",
+                         "--threads", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --bayes-draws must be >= 1\n"
         assert not out.exists()
 
 

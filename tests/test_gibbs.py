@@ -22,6 +22,7 @@ from batts.gibbs import (
     PosteriorDraws,
     SamplerTree,
     _grow_factor,
+    _resample_betas,
     _verify_state,
     integrated_leaf_loglik,
     leaf_full_conditional,
@@ -131,6 +132,72 @@ class TestIntegratedLoglik:
         assert integrated_leaf_loglik(0.0, 0.0, 1.0, 0.5, 10.0) == pytest.approx(0.0)
 
 
+class TestHotPathOracles:
+    """The sampler's per-tree update against the numpy code it replaced."""
+
+    @pytest.mark.parametrize("p", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.5, 0.5, 0.0)])
+    def test_move_pick_equals_generator_choice(self, p):
+        ctx = MoveContext(np.zeros((1, 1), dtype=np.int64), [np.array([0.0])], 1, 1,
+                          0.5, 10.0, TreePrior(), p)
+        mine, ref = np.random.default_rng(17), np.random.default_rng(17)
+        picks = [ctx.draw_move(mine) for _ in range(10_000)]
+        expected = [int(ref.choice(3, p=p)) for _ in range(10_000)]
+        assert picks == expected
+        assert mine.bit_generator.state == ref.bit_generator.state
+        assert set(picks) == {k for k in range(3) if p[k] > 0}
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_beta_redraw_equals_vectorized_sampler(self, even):
+        """Leaf by leaf in floats, bit-equal to log(sample_inverse_gaussian)
+        on the numpy full conditional, with zero-weight evaluation rows."""
+        gen = np.random.default_rng(21)
+        n0, n, N = 40, 70, 90  # rows past n are evaluation points
+        bins = gen.integers(0, 8, size=(N, 2))
+        tree = SamplerTree(N, even=even)
+        tree.apply_grow(0, 0, 3.0, np.nonzero(bins[:, 0] > 3)[0])
+        rows = np.nonzero(bins[:, 0] <= 3)[0]
+        tree.apply_grow(1, 1, 2.0, rows[bins[rows, 1] > 2])
+        tree.leaf_idx[n:] = 1  # evaluation rows all in one leaf
+        for seed in range(200):
+            # small lam and tau make every term of the transform matter
+            ctx = MoveContext(bins, [np.arange(7.0), np.arange(7.0)], n0, n, n0 / n,
+                              gen.uniform(0.5, 50.0), TreePrior(), (1 / 3, 1 / 3, 1 / 3))
+            ctx.tau = gen.uniform(0.0, 2.0)
+            ctx.set_residual(gen.normal(0.0, 0.5, size=N))
+            assert np.all(ctx.w0row[n0:] == 0) and np.all(ctx.w1row[:n0] == 0)
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _resample_betas(tree, ctx, mine)
+            # the replaced code: bincounts over all rows, numpy full conditional
+            s0 = np.bincount(tree.leaf_idx, weights=ctx.w0row, minlength=3)
+            s1 = np.bincount(tree.leaf_idx, weights=ctx.w1row, minlength=3)
+            a = 2.0 * ctx.tau * s0 / ctx.zeta
+            b = 2.0 * ctx.tau * s1 / (1.0 - ctx.zeta)
+            if even:
+                a, b = b, a
+            lam_p = ctx.lam + a
+            mu_p = np.sqrt(lam_p / (ctx.lam / 1.0**2 + b))
+            z = np.log(sample_inverse_gaussian(mu_p, lam_p, ref))
+            np.testing.assert_array_equal(tree.betas, -z if even else z)
+            assert mine.bit_generator.state == ref.bit_generator.state
+        assert tree.n_leaves() == 3
+
+    def test_integrated_loglik_matches_numpy_closed_form(self, rng):
+        s0, s1 = rng.uniform(0.1, 40.0, size=(2, 500))
+        tau = rng.uniform(0.05, 2.0, size=500)
+        zeta = rng.uniform(0.2, 0.8, size=500)
+        lam = rng.uniform(1.0, 2000.0, size=500)
+        even = rng.integers(2, size=500).astype(bool)
+        a = 2.0 * tau * np.where(even, s1, s0) / np.where(even, 1.0 - zeta, zeta)
+        b = 2.0 * tau * np.where(even, s0, s1) / np.where(even, zeta, 1.0 - zeta)
+        lam_p = lam + a
+        mu_p = np.sqrt(lam_p / (lam + b))
+        ref = 0.5 * (np.log(lam) - np.log(lam_p)) + lam - lam_p / mu_p
+        got = [integrated_leaf_loglik(*args) for args in zip(
+            s0.tolist(), s1.tolist(), tau.tolist(), zeta.tolist(), lam.tolist(),
+            even.tolist())]
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+
 class TestInverseGaussianSampler:
     def test_moments(self):
         gen = np.random.default_rng(1)
@@ -220,8 +287,8 @@ class TestSamplerTreeBookkeeping:
         gen = np.random.default_rng(seed)
         grid = build_cut_grid(data, 7)
         X = data.pooled()
-        ctx = MoveContext(grid.bin_indices(X), grid.cuts, np.ones(30), np.ones(30),
-                          0.0, data.zeta, 10.0, TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+        ctx = MoveContext(grid.bin_indices(X), grid.cuts, 15, 30, data.zeta, 10.0,
+                          TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
         tree = SamplerTree(30, even=False)
         for _ in range(n_moves):
             move, ok = mh_tree_move(tree, ctx, gen)
@@ -274,6 +341,9 @@ class TestGibbsConfig:
         {"burn_in": -1},
         {"a0_tau": -1.0},
         {"b0_tau": 0.0},
+        {"a_T": 1.5},
+        {"a_T": 0.0},
+        {"b_T": -1.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -133,3 +133,15 @@ class TestPrior:
         for _ in range(50):
             t = sample_tree_from_prior(TreePrior(0.99, 0.0), grid, gen, max_depth=3)
             assert t.max_depth() <= 3
+
+    def test_max_depth_matches_leaf_depths(self):
+        """max_depth reads depths off the preorder arrays; the linked Nodes
+        of leaves() are the reference."""
+        grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
+        gen = np.random.default_rng(12)
+        deepest = 0
+        for _ in range(300):
+            t = sample_tree_from_prior(TreePrior(0.95, 0.5), grid, gen, max_depth=8)
+            assert t.max_depth() == max(leaf.depth for leaf in t.leaves())
+            deepest = max(deepest, t.max_depth())
+        assert deepest >= 4

@@ -91,17 +91,50 @@ class EnsembleModel:
 
     @classmethod
     def load(cls, path) -> "EnsembleModel":
+        """Read a model written by save. A malformed file raises ValueError
+        naming the file and its first fault."""
         with open(path) as fh:
             doc = json.load(fh)
-        dim = int(doc["dim"])
-        return cls(
-            trees=[DecisionTree.from_dict(d, dim) for d in doc["trees"]],
-            learning_rate=float(doc["nu"]),
-            offset=float(doc["offset"]),
-            algorithm=doc["algorithm"],
-            dim=dim,
-            seed=int(doc.get("seed", 0)),
-        )
+        if not isinstance(doc, dict):
+            raise ValueError(f"model file {path} must hold a JSON object")
+        try:
+            dim = int(doc["dim"])
+            model = cls(
+                trees=[DecisionTree.from_dict(d, dim) for d in doc["trees"]],
+                learning_rate=float(doc["nu"]),
+                offset=float(doc["offset"]),
+                algorithm=doc["algorithm"],
+                dim=dim,
+                seed=int(doc.get("seed", 0)),
+            )
+        except KeyError as e:
+            raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"model file {path}: malformed value ({e})") from None
+        fault = model._fault()
+        if fault:
+            raise ValueError(f"model file {path}: {fault}")
+        return model
+
+    def _fault(self) -> str | None:
+        """The first reason the model cannot be evaluated, or None."""
+        if self.algorithm not in ("fs", "gb"):
+            return f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'"
+        for name, v in (("nu", self.learning_rate), ("offset", self.offset)):
+            if not np.isfinite(v):
+                return f"non-finite {name} {v!r}"
+        split = self.right >= 0  # from_dict sets right only at split nodes
+        bad = split & ((self.feature < 0) | (self.feature >= self.dim))
+        bad |= ~np.isfinite(self.value)
+        if not bad.any():
+            return None
+        i = int(np.argmax(bad))
+        tree = int(np.searchsorted(self.starts, i, side="right")) - 1
+        if not np.isfinite(self.value[i]):
+            kind = "threshold" if split[i] else "beta"
+            return f"non-finite {kind} {float(self.value[i])!r} in tree {tree}"
+        return (f"tree {tree} splits on dimension {int(self.feature[i])}, "
+                f"outside [0, {self.dim})")
 
 
 def predict_log_ratio(model: EnsembleModel, points: np.ndarray) -> np.ndarray:
@@ -110,35 +143,44 @@ def predict_log_ratio(model: EnsembleModel, points: np.ndarray) -> np.ndarray:
 
 
 class _Grower:
-    """Greedy tree construction shared by the FS and GB criteria.
+    """Greedy tree construction shared by the FS and GB criteria, over the
+    occupied grid cells of each group (see CutGrid.cells).
 
+    Rows of one cell fall in the same child of every split, so a cell is
+    grown as one entry with its row count and the summed mass of its rows.
+    counts0/counts1 are the cells' row counts, or None where every cell
+    holds one row; then the grower makes the same numpy calls as on rows.
     Split search scores every (dimension, cut) of a node at once. Each
-    (dimension, bin) pair is one histogram cell, with key
+    (dimension, bin) pair is one histogram bucket, with key
     dim * width + bin, where width is one more than the largest cut count;
     so one bincount per histogram covers all dimensions, and cumulative sums
     along each dimension's row give the left-child totals of its cuts.
     The fs criterion scores a split by the affinity of its children's masses,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
     -m1 (see loss.row_masses), both from the two mass histograms. Children
-    with observations from only one group, or with fewer than
-    min_leaf_total pooled observations, are refused. That also refuses the
-    cut indices past a dimension's own cut count, which send every row left.
+    with rows from only one group, or with fewer than min_leaf_total pooled
+    rows, are refused; the count histograms are weighted by the cell counts,
+    so both rules count rows, not cells. That also refuses the cut indices
+    past a dimension's own cut count, which send every row left.
     """
 
-    def __init__(self, bins0, bins1, cuts, max_depth, min_leaf_total, algorithm):
+    def __init__(self, bins0, bins1, counts0, counts1, cuts, max_depth, min_leaf_total,
+                 algorithm):
         self.width = max(len(c) for c in cuts) + 1
         offsets = np.arange(len(cuts)) * self.width
         self.keys0 = bins0 + offsets
         self.keys1 = bins1 + offsets
+        self.counts0 = counts0
+        self.counts1 = counts1
         self.cuts = cuts
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
         self.gb = algorithm == "gb"
 
     def grow(self, m0, m1):
-        """Returns (tree, contrib0, contrib1) with per-observation leaf betas.
+        """Returns (tree, contrib0, contrib1) with per-cell leaf betas.
 
-        m0/m1 are the per-observation masses of loss.row_masses.
+        m0/m1 are the per-cell masses of loss.row_masses.
         """
         self.m0 = m0
         self.m1 = m1
@@ -172,21 +214,28 @@ class _Grower:
         self._split(idx0[~left0], idx1[~left1], depth + 1)
 
     def _left_totals(self, keys, weights=None):
-        """(dims, cuts) matrix: the sum of weights (or the count) of the rows
-        routed left of each cut. Each cell adds its rows in row order."""
+        """(dims, cuts) matrix: the sum of weights (or the count) of the cells
+        routed left of each cut. Each bucket adds its cells in cell order."""
         d = len(self.cuts)
         if weights is not None:
             weights = np.repeat(weights, d)
         hist = np.bincount(keys.ravel(), weights=weights, minlength=d * self.width)
         return np.cumsum(hist.reshape(d, self.width), axis=1)[:, :-1]
 
+    def _row_counts(self, keys, counts, idx):
+        """The row counts left of each cut, and the node's row count."""
+        if counts is None:
+            return self._left_totals(keys), idx.size
+        counts = counts[idx]
+        return self._left_totals(keys, counts), counts.sum()
+
     def _best_split(self, idx0, idx1):
         k0 = self.keys0[idx0]
         k1 = self.keys1[idx1]
-        lc0 = self._left_totals(k0)
-        lc1 = self._left_totals(k1)
-        rc0 = idx0.size - lc0
-        rc1 = idx1.size - lc1
+        lc0, n0 = self._row_counts(k0, self.counts0, idx0)
+        lc1, n1 = self._row_counts(k1, self.counts1, idx1)
+        rc0 = n0 - lc0
+        rc1 = n1 - lc1
         valid = (
             (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
             & (lc0 + lc1 >= self.min_leaf_total)
@@ -214,29 +263,37 @@ class _Grower:
         return divmod(best, self.width - 1)
 
 
+def _cells(grid: CutGrid, X: np.ndarray):
+    """The occupied cells of X's rows: (cell bins, row counts), with counts
+    None where every cell holds one row."""
+    cell_bins, _, inverse = grid.cells(grid.bin_indices(X))
+    if cell_bins.shape[0] == X.shape[0]:
+        return cell_bins, None
+    return cell_bins, np.bincount(inverse).astype(np.float64)
+
+
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
                n_trees: int, on_iteration=None) -> EnsembleModel:
     """Each tree's shrunken update is followed by the rebalance shift, which
-    the offset accumulates; the training loss must never increase."""
-    grower = _Grower(
-        grid.bin_indices(data.sample0),
-        grid.bin_indices(data.sample1),
-        grid.cuts,
-        config.max_depth,
-        config.min_leaf_total,
-        config.algorithm,
-    )
-    logw0 = np.zeros(data.n0)
-    logw1 = np.zeros(data.n1)
+    the offset accumulates; the training loss must never increase.
+
+    Each group keeps one log w per occupied cell, and the cell's row count
+    weights it in the masses and the rebalance (see loss.row_masses)."""
+    bins0, counts0 = _cells(grid, data.sample0)
+    bins1, counts1 = _cells(grid, data.sample1)
+    grower = _Grower(bins0, bins1, counts0, counts1, grid.cuts, config.max_depth,
+                     config.min_leaf_total, config.algorithm)
+    logw0 = np.zeros(bins0.shape[0])
+    logw1 = np.zeros(bins1.shape[0])
     nu = config.learning_rate
     trees = []
     offset = 0.0
     losses = [2.0]
     for _ in range(n_trees):
-        tree, c0, c1 = grower.grow(*row_masses(logw0, logw1))
+        tree, c0, c1 = grower.grow(*row_masses(logw0, logw1, counts0, counts1))
         logw0 += nu * c0
         logw1 += nu * c1
-        log_c, loss = rebalance(logw0, logw1)
+        log_c, loss = rebalance(logw0, logw1, counts0, counts1)
         logw0 += log_c
         logw1 += log_c
         check_log_weights(logw0, logw1)
@@ -260,7 +317,10 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
 
 def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
                   config: BoostConfig) -> np.ndarray:
-    """Fold-averaged held-out loss after 0..max_trees trees."""
+    """Fold-averaged held-out loss after 0..max_trees trees.
+
+    Held-out rows are tracked row by row, but each tree is evaluated once
+    per occupied held-out cell, at the cell's first row."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
@@ -273,21 +333,23 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
         ho1 = np.zeros(data.n1, dtype=bool)
         ho1[folds1[f]] = True
         train = TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1])
-        X0h = data.sample0[ho0]
-        X1h = data.sample1[ho1]
-        h_logw0 = np.zeros(X0h.shape[0])
-        h_logw1 = np.zeros(X1h.shape[0])
-        held = [2.0]
+        held_out = np.vstack([data.sample0[ho0], data.sample1[ho1]])
+        _, first, inverse = grid.cells(grid.bin_indices(held_out))
+        firsts = held_out[first]
+        cell0 = inverse[:folds0[f].size]
+        cell1 = inverse[folds0[f].size:]
+        h_logw0 = np.zeros(cell0.size)
+        h_logw1 = np.zeros(cell1.size)
+        losses = [2.0]
 
         def track(tree, log_c):
-            np.add(h_logw0, config.learning_rate * tree.evaluate_many(X0h) + log_c,
-                   out=h_logw0)
-            np.add(h_logw1, config.learning_rate * tree.evaluate_many(X1h) + log_c,
-                   out=h_logw1)
-            held.append(finite_sample_loss(h_logw0, h_logw1))
+            step = config.learning_rate * tree.evaluate_many(firsts) + log_c
+            np.add(h_logw0, step[cell0], out=h_logw0)
+            np.add(h_logw1, step[cell1], out=h_logw1)
+            losses.append(finite_sample_loss(h_logw0, h_logw1))
 
         _fit_boost(train, grid, config, config.max_trees, on_iteration=track)
-        curves[f] = held
+        curves[f] = losses
     return curves.mean(axis=0)
 
 

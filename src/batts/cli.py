@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -259,6 +258,20 @@ def _bench_job(job) -> dict:
     return out
 
 
+def _env_threads() -> int:
+    """The worker cap from BATTS_THREADS, or the core count if it is unset."""
+    text = os.environ.get("BATTS_THREADS")
+    if text is None:
+        return os.cpu_count() or 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"BATTS_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
 def run_bench(scenarios, sizes, methods, replicates, seed,
               boost_kw=None, bayes_kw=None, threads=None):
     """Returns rows of (scenario, size, method, mean_mse, se_mse, replicates,
@@ -273,8 +286,11 @@ def run_bench(scenarios, sizes, methods, replicates, seed,
             jobs.append((sc, sz, n0, n1, tuple(methods), seed + r,
                          boost_kw, bayes_kw))
     if threads is None:
-        threads = int(os.environ.get("BATTS_THREADS", os.cpu_count() or 1))
+        threads = _env_threads()
     if threads > 1 and len(jobs) > 1:
+        # imported here: only bench uses it, and it costs every process memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_bench_job, jobs))
     else:
@@ -303,6 +319,8 @@ def _cmd_bench(args) -> int:
         raise ValueError("--replicates must be >= 1")
     if "bayes" in methods and args.bayes_draws < 1:
         raise ValueError("--bayes-draws must be >= 1")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
                     learning_rate=args.nu, cv_folds=args.cv_folds)
     bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,

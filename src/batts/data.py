@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,37 @@ class CutGrid:
         for j, c in enumerate(self.cuts):
             out[:, j] = np.searchsorted(c, X[:, j], side="left")
         return out
+
+    def cells(self, bins: np.ndarray):
+        """The occupied grid cells of binned rows (see bin_indices).
+
+        Returns (cell_bins, first, inverse): the distinct bin rows, in order
+        of first occurrence; the first row of each; and each row's cell, so
+        that bins equals cell_bins[inverse]. Rows of one cell route alike
+        through every tree whose thresholds are cuts of this grid. When the
+        bin rows do not fit one int64 key, each row is its own cell.
+        """
+        n = bins.shape[0]
+        radix = [len(c) + 1 for c in self.cuts]
+        if n == 0 or math.prod(radix) > 2**63:
+            return bins, np.arange(n), np.arange(n)
+        # mixed-radix key, the last dimension varying fastest
+        places = np.cumprod([1] + radix[:0:-1], dtype=np.int64)[::-1]
+        key = bins @ places
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
+        # the stable sort puts each cell's first row at the start of its run
+        first_by_key = order[starts]
+        rank = np.argsort(first_by_key)
+        cell_of_run = np.empty(rank.size, dtype=np.int64)
+        cell_of_run[rank] = np.arange(rank.size)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = cell_of_run[np.cumsum(starts) - 1]
+        first = first_by_key[rank]
+        return bins[first], first, inverse
 
 
 def _read_matrix(path) -> np.ndarray:

@@ -3,7 +3,8 @@
 split score.
 
 Every function takes the log-weights log w over group 0 and group 1 as the two
-arrays (logw0, logw1) that boosting and the sampler already hold.
+arrays (logw0, logw1) that boosting and the sampler already hold. row_masses
+and rebalance also take per-entry row counts, for boosting's grid cells.
 """
 
 from __future__ import annotations
@@ -40,14 +41,31 @@ def finite_sample_loss(logw0: np.ndarray, logw1: np.ndarray) -> float:
     return float(np.exp(-logw0).mean() + np.exp(logw1).mean())
 
 
-def row_masses(logw0: np.ndarray, logw1: np.ndarray):
+def row_masses(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):
     """Per-row masses w^{-1}/n0 on group 0 and w/n1 on group 1.
 
     Summed over a leaf's rows they are the masses optimal_leaf_value takes,
     and (m0, -m1) are the negative gradients of l_n with respect to the
     additive value F(x), the pseudo-residuals of gradient boosting.
+
+    With counts, entry i stands for counts[i] rows that share its log w (a
+    grid cell), n is the sum of the counts, and the mass is the rows' sum,
+    counts[i] times the per-row mass.
     """
-    return np.exp(-logw0) / logw0.size, np.exp(logw1) / logw1.size
+    return _masses(np.exp(-logw0), counts0), _masses(np.exp(logw1), counts1)
+
+
+def _masses(e: np.ndarray, counts) -> np.ndarray:
+    if counts is None:
+        return e / e.size
+    return counts * e / counts.sum()
+
+
+def _row_mean(e: np.ndarray, counts) -> float:
+    """The mean of e over rows, where entry i stands for counts[i] rows."""
+    if counts is None:
+        return e.mean()
+    return np.dot(counts, e) / counts.sum()
 
 
 def optimal_leaf_value(p_mass: float, q_mass: float) -> float:
@@ -62,14 +80,15 @@ def optimal_leaf_value(p_mass: float, q_mass: float) -> float:
     return 0.5 * (np.log(p_mass) - np.log(q_mass))
 
 
-def rebalance(logw0: np.ndarray, logw1: np.ndarray):
+def rebalance(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):
     """The shift log_c of every log-weight that equalizes the two terms of
     l_n, and the loss after the shift, 2*sqrt(mean(w^{-1}) * mean(w)).
+    Counts weight the entries as in row_masses.
 
     Shifting by log_c never increases the loss.
     """
-    e0 = np.exp(-logw0).mean()
-    e1 = np.exp(logw1).mean()
+    e0 = _row_mean(np.exp(-logw0), counts0)
+    e1 = _row_mean(np.exp(logw1), counts1)
     return 0.5 * (np.log(e0) - np.log(e1)), 2.0 * np.sqrt(e0 * e1)
 
 

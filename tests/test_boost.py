@@ -17,7 +17,8 @@ from batts import (
 )
 from batts.boost import _Grower, _fit_boost, cv_loss_curve
 from batts.data import CutGrid
-from batts.loss import finite_sample_loss, hellinger_split_score, optimal_leaf_value
+from batts.loss import (finite_sample_loss, hellinger_split_score, optimal_leaf_value,
+                        rebalance, row_masses)
 
 
 class TestConfig:
@@ -132,7 +133,7 @@ class TestSplitSearch:
             m1 = rng.uniform(0.5, 2.0, n1) / n1
             res0 = m0 if gb else None
             res1 = -m1 if gb else None
-            grower = _Grower(b0, b1, grid.cuts, 4, 5, "gb" if gb else "fs")
+            grower = _Grower(b0, b1, None, None, grid.cuts, 4, 5, "gb" if gb else "fs")
             grower.m0, grower.m1 = m0, m1
             got = grower._best_split(np.arange(n0), np.arange(n1))
             want = self._brute_force(b0, b1, m0, m1, res0, res1, 7, 5)
@@ -185,8 +186,8 @@ class TestSplitSearch:
             m1 = gen.uniform(0.5, 2.0, n1) / n1
             idx0 = np.sort(gen.choice(n0, size=n0 * 3 // 4, replace=False))
             idx1 = np.sort(gen.choice(n1, size=n1 * 3 // 4, replace=False))
-            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 4, 5,
-                             "gb" if gb else "fs")
+            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), None, None, cuts,
+                             4, 5, "gb" if gb else "fs")
             grower.m0, grower.m1 = m0, m1
             got = grower._best_split(idx0, idx1)
             r0, r1 = (m0[idx0], -m1[idx1]) if gb else (None, None)
@@ -194,6 +195,46 @@ class TestSplitSearch:
             assert got == want
             tie_won += want[0] == 0
         assert tie_won >= 6
+
+    @pytest.mark.parametrize("gb", [False, True])
+    def test_cells_with_counts_match_rows(self, gb, rng):
+        """Split search fed each group's deduplicated cells, with their row
+        counts and summed row masses, picks the (dim, cut) that the brute
+        force and the float oracle pick on the rows: at the root, and at an
+        interior node made of a random subset of cells. A min_leaf_total
+        above the cell count makes the refusals count rows."""
+        for min_leaf in (5, 40):
+            for _ in range(8):
+                n0 = int(rng.integers(60, 120))
+                n1 = int(rng.integers(60, 120))
+                data = TwoSampleDataset(rng.standard_normal((n0, 2)),
+                                        rng.standard_normal((n1, 2)) + 0.4)
+                grid = build_cut_grid(data, 5)
+                b0 = grid.bin_indices(data.sample0)
+                b1 = grid.bin_indices(data.sample1)
+                m0 = rng.uniform(0.5, 2.0, n0) / n0
+                m1 = rng.uniform(0.5, 2.0, n1) / n1
+                res0 = m0 if gb else None
+                res1 = -m1 if gb else None
+                cb0, _, inv0 = grid.cells(b0)
+                cb1, _, inv1 = grid.cells(b1)
+                assert cb0.shape[0] < n0 // 2 and cb1.shape[0] < n1 // 2
+                grower = _Grower(cb0, cb1, np.bincount(inv0).astype(float),
+                                 np.bincount(inv1).astype(float), grid.cuts, 4, min_leaf,
+                                 "gb" if gb else "fs")
+                grower.m0 = np.bincount(inv0, weights=m0)
+                grower.m1 = np.bincount(inv1, weights=m1)
+                got = grower._best_split(np.arange(cb0.shape[0]), np.arange(cb1.shape[0]))
+                assert got == self._brute_force(b0, b1, m0, m1, res0, res1, 5, min_leaf)
+
+                cells0 = np.sort(rng.choice(cb0.shape[0], cb0.shape[0] * 3 // 4, replace=False))
+                cells1 = np.sort(rng.choice(cb1.shape[0], cb1.shape[0] * 3 // 4, replace=False))
+                rows0 = np.isin(inv0, cells0)
+                rows1 = np.isin(inv1, cells1)
+                r0, r1 = (m0[rows0], -m1[rows1]) if gb else (None, None)
+                want = self._oracle(data.sample0[rows0], data.sample1[rows1], grid.cuts,
+                                    m0[rows0], m1[rows1], r0, r1, min_leaf)
+                assert grower._best_split(cells0, cells1) == want
 
     def test_every_cut_of_a_long_grid_is_searched(self):
         """On a 1-D grid of 40 cuts, the best root split is past the 31st cut
@@ -339,6 +380,67 @@ class TestTrainingBehaviour:
         assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
 
 
+class TestCellFit:
+    """_fit_boost grows its trees over each group's occupied grid cells."""
+
+    @staticmethod
+    def _row_fit(data, grid, config, n_trees):
+        """The boosting loop on rows: one log w per row, and a grower given
+        no counts."""
+        grower = _Grower(grid.bin_indices(data.sample0), grid.bin_indices(data.sample1),
+                         None, None, grid.cuts, config.max_depth, config.min_leaf_total,
+                         config.algorithm)
+        logw0, logw1 = np.zeros(data.n0), np.zeros(data.n1)
+        trees, offset, losses = [], 0.0, [2.0]
+        for _ in range(n_trees):
+            tree, c0, c1 = grower.grow(*row_masses(logw0, logw1))
+            logw0 += config.learning_rate * c0
+            logw1 += config.learning_rate * c1
+            log_c, loss = rebalance(logw0, logw1)
+            logw0 += log_c
+            logw1 += log_c
+            trees.append(tree)
+            offset += log_c
+            losses.append(loss)
+        return trees, offset, np.array(losses)
+
+    @staticmethod
+    def _assert_same_fit(trees, offset, losses, model):
+        assert len(trees) == len(model.trees)
+        for want, got in zip(trees, model.trees):
+            np.testing.assert_array_equal(got.feature, want.feature)
+            np.testing.assert_array_equal(got.right, want.right)
+            np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+        assert abs(model.offset - offset) <= 1e-12
+        np.testing.assert_allclose(model.train_loss_path, losses, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    def test_cells_match_rows(self, algo):
+        """On a coarse grid, where cells hold up to dozens of rows, the fit
+        on cells equals the boosting loop on rows."""
+        gen = np.random.default_rng(9)
+        data = TwoSampleDataset(gen.standard_normal((500, 2)) - 0.4,
+                                gen.standard_normal((300, 2)) + 0.4)
+        grid = build_cut_grid(data, 7)
+        counts = np.bincount(grid.cells(grid.bin_indices(data.sample0))[2])
+        assert counts.max() >= 20 and counts.min() == 1
+        config = BoostConfig(algorithm=algo, max_trees=40, min_leaf_total=20)
+        model = _fit_boost(data, grid, config, 40)
+        self._assert_same_fit(*self._row_fit(data, grid, config, 40), model)
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    def test_duplicating_every_row_changes_nothing(self, algo, shifted_2d):
+        """Two copies of every row of both samples double every cell count,
+        which leaves the masses, and so a min_leaf_total=1 fit, unchanged."""
+        data, grid = shifted_2d
+        twice = TwoSampleDataset(np.repeat(data.sample0, 2, axis=0),
+                                 np.repeat(data.sample1, 2, axis=0))
+        config = BoostConfig(algorithm=algo, max_trees=30, min_leaf_total=1)
+        once = _fit_boost(data, grid, config, 30)
+        self._assert_same_fit(once.trees, once.offset, once.train_loss_path,
+                              _fit_boost(twice, grid, config, 30))
+
+
 class TestCrossValidation:
     def test_curve_shape_and_selection(self, shifted_2d):
         data, grid = shifted_2d
@@ -362,6 +464,36 @@ class TestCrossValidation:
         config = BoostConfig(algorithm="gb", max_trees=30, cv_folds=3, seed=1)
         model = fit(data, grid, config, select=True)
         assert len(model.trees) == np.argmin(cv_loss_curve(data, grid, config))
+
+    def test_curve_equals_row_by_row_held_out_curve(self, shifted_2d):
+        """cv_loss_curve evaluates each tree once per held-out cell; the
+        curve is bit-equal to one that routes every held-out row."""
+        data, grid = shifted_2d
+        config = BoostConfig(algorithm="gb", max_trees=25, cv_folds=3, seed=4)
+        nu = config.learning_rate
+        gen = np.random.default_rng(config.seed)
+        folds0 = np.array_split(gen.permutation(data.n0), 3)
+        folds1 = np.array_split(gen.permutation(data.n1), 3)
+        curves = []
+        for f in range(3):
+            ho0 = np.isin(np.arange(data.n0), folds0[f])
+            ho1 = np.isin(np.arange(data.n1), folds1[f])
+            X0h, X1h = data.sample0[ho0], data.sample1[ho1]
+            held = np.vstack([X0h, X1h])
+            assert grid.cells(grid.bin_indices(held))[0].shape[0] < held.shape[0]
+            h0, h1 = np.zeros(X0h.shape[0]), np.zeros(X1h.shape[0])
+            curve = [2.0]
+
+            def track(tree, log_c):
+                h0[:] = h0 + (nu * tree.evaluate_many(X0h) + log_c)
+                h1[:] = h1 + (nu * tree.evaluate_many(X1h) + log_c)
+                curve.append(finite_sample_loss(h0, h1))
+
+            train = TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1])
+            _fit_boost(train, grid, config, 25, on_iteration=track)
+            curves.append(curve)
+        np.testing.assert_array_equal(cv_loss_curve(data, grid, config),
+                                      np.array(curves).mean(axis=0))
 
     def test_too_few_observations_for_folds(self):
         data = TwoSampleDataset(np.array([[0.0], [1.0]]),

@@ -1,11 +1,18 @@
 """End-to-end CLI checks driven through dispatch()."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from batts import cli, gibbs
 from batts.cli import dispatch, run_bench
 from batts.data import load_matrix
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _simulate(tmp_path, n0=300, n1=300, seed=3):
@@ -174,6 +181,131 @@ class TestBench:
                          "--threads", "1", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: --bayes-draws must be >= 1\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench was entered")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "fs", "--threads", threads, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+    def test_bad_batts_threads_rejected(self, tmp_path, capsys, monkeypatch, value):
+        def never(job):
+            raise AssertionError("a bench job ran")
+
+        monkeypatch.setattr(cli, "_bench_job", never)
+        monkeypatch.setenv("BATTS_THREADS", value)
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "fs", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: BATTS_THREADS must be a positive integer, got {value!r}\n")
+        assert not out.exists()
+
+    def test_batts_threads_sets_the_worker_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_bench_job", lambda job: {m: 1.0 for m in job[4]})
+        monkeypatch.setenv("BATTS_THREADS", "1")
+        rows = run_bench(["GlobalShift2D"], ["balanced"], ["fs"], replicates=2, seed=0)
+        assert len(rows) == 1
+
+
+class TestLeanImports:
+    def test_cli_and_a_2d_fit_skip_unused_modules(self):
+        """The process pool is imported only when bench runs in parallel,
+        and the cell map does without np.unique, which imports numpy.ma."""
+        code = (
+            "import sys\n"
+            "import batts.cli\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "from batts import BoostConfig, build_cut_grid, fit, generate, make_scenario\n"
+            "data = generate(make_scenario('GlobalShift2D', seed=0), 200, 200, seed=0)\n"
+            "fit(data, build_cut_grid(data, 31), BoostConfig(max_trees=5, cv_folds=2))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestMalformedModel:
+    """predict names the model file and its first fault, in one line."""
+
+    @staticmethod
+    def _model_doc(tmp_path):
+        s0, s1, _ = _simulate(tmp_path, n0=100, n1=100)
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "3", "--no-cv", "--out", str(model)]) == 0
+        return json.loads(model.read_text())
+
+    @staticmethod
+    def _split_node(doc):
+        node = doc["trees"][1]
+        assert "dim" in node
+        return node
+
+    @staticmethod
+    def _leaf(doc):
+        node = doc["trees"][2]
+        while "beta" not in node:
+            node = node["right"]
+        return node
+
+    FAULTS = {
+        "missing dim": (lambda d: d.pop("dim"), "missing key 'dim'"),
+        "missing nu": (lambda d: d.pop("nu"), "missing key 'nu'"),
+        "split without right": (lambda d: TestMalformedModel._split_node(d).pop("right"),
+                                "missing key 'right'"),
+        "dim past the model's": (
+            lambda d: TestMalformedModel._split_node(d).update(dim=5),
+            "tree 1 splits on dimension 5, outside [0, 2)"),
+        "negative dim": (lambda d: TestMalformedModel._split_node(d).update(dim=-1),
+                         "tree 1 splits on dimension -1, outside [0, 2)"),
+        "nan beta": (lambda d: TestMalformedModel._leaf(d).update(beta=float("nan")),
+                     "non-finite beta nan in tree 2"),
+        "inf threshold": (lambda d: TestMalformedModel._split_node(d).update(
+            threshold=float("inf")), "non-finite threshold inf in tree 1"),
+        "unknown algorithm": (lambda d: d.update(algorithm="xgb"),
+                              "unknown algorithm 'xgb'; expected 'fs' or 'gb'"),
+        "nan offset": (lambda d: d.update(offset=float("nan")), "non-finite offset nan"),
+        "inf nu": (lambda d: d.update(nu=float("-inf")), "non-finite nu -inf"),
+        "not an object": (lambda d: None, "must hold a JSON object"),
+        "dim not a number": (lambda d: TestMalformedModel._split_node(d).update(dim="x"),
+                             "malformed value (invalid literal for int()"),
+        "child not a node": (lambda d: TestMalformedModel._split_node(d).update(left=3),
+                             "malformed value ("),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_named(self, tmp_path, capsys, fault):
+        doc = self._model_doc(tmp_path)
+        edit, message = self.FAULTS[fault]
+        edit(doc)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps([doc] if fault == "not an object" else doc))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0\n1.0,-1.0\n")
+        out = tmp_path / "est.csv"
+        capsys.readouterr()
+        code = dispatch(["predict", "--model", str(model), "--points", str(pts),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model}")
+        assert message in err and err.count("\n") == 1
         assert not out.exists()
 
 

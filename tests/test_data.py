@@ -110,6 +110,74 @@ class TestCutGrid:
             g.bin_indices(np.array([0.5, 1.5]))
 
 
+def _cells_oracle(bins):
+    """Cells by a dict of bin tuples, in order of first occurrence."""
+    cell_of, first, inverse = {}, [], []
+    for i, row in enumerate(map(tuple, bins)):
+        if row not in cell_of:
+            cell_of[row] = len(first)
+            first.append(i)
+        inverse.append(cell_of[row])
+    return np.array(first), np.array(inverse)
+
+
+class TestCells:
+    def test_first_occurrence_order(self):
+        g = CutGrid((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+        bins = np.array([[1, 0], [0, 2], [1, 0], [2, 2], [0, 2], [2, 2]])
+        cell_bins, first, inverse = g.cells(bins)
+        np.testing.assert_array_equal(cell_bins, [[1, 0], [0, 2], [2, 2]])
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 1, 2])
+
+    def test_distinct_rows_are_their_own_cells(self):
+        g = CutGrid((np.arange(1.0, 8.0), np.arange(1.0, 4.0)))
+        gen = np.random.default_rng(5)
+        bins = np.column_stack([gen.permutation(8), gen.integers(0, 4, 8)])
+        cell_bins, first, inverse = g.cells(bins)
+        np.testing.assert_array_equal(first, np.arange(8))
+        np.testing.assert_array_equal(inverse, np.arange(8))
+        np.testing.assert_array_equal(cell_bins, bins)
+
+    def test_cuts_edges_and_duplicates_match_oracle(self):
+        """Rows exactly on a cut, below the first and past the last cut, and
+        duplicated rows, on uneven cut counts: the cells match a dict oracle,
+        and rows of one cell route alike at every cut."""
+        cuts = (np.array([-1.0, 0.0, 1.0]), np.array([0.5]), np.linspace(-2, 2, 9))
+        g = CutGrid(cuts)
+        gen = np.random.default_rng(8)
+        X = gen.standard_normal((300, 3)) * 1.5
+        X[:40] = X[40:80]  # duplicated rows
+        X[80:90, 0] = 0.0  # on a cut
+        X[90:100, 1] = 0.5
+        X[100:110, 2] = 9.0  # past the last cut
+        X[110:120, 0] = -7.0  # below the first cut
+        bins = g.bin_indices(X)
+        cell_bins, first, inverse = g.cells(bins)
+        want_first, want_inverse = _cells_oracle(bins)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        np.testing.assert_array_equal(cell_bins, bins[want_first])
+        assert cell_bins.shape[0] < 280
+        for dim, c in enumerate(cuts):
+            for t in c:
+                left = X[:, dim] <= t
+                np.testing.assert_array_equal(left, left[first][inverse])
+
+    def test_twenty_dims_fall_back_to_rows(self):
+        """32^20 bin vectors do not fit an int64 key: each row is its own
+        cell, duplicates included."""
+        g = CutGrid(tuple(np.linspace(-2, 2, 31) for _ in range(20)))
+        gen = np.random.default_rng(2)
+        X = gen.standard_normal((50, 20))
+        X[10:20] = X[:10]
+        bins = g.bin_indices(X)
+        cell_bins, first, inverse = g.cells(bins)
+        np.testing.assert_array_equal(first, np.arange(50))
+        np.testing.assert_array_equal(inverse, np.arange(50))
+        np.testing.assert_array_equal(cell_bins, bins)
+
+
 class TestCsvIo:
     def test_round_trip_bit_identical(self, tmp_path, rng):
         a = rng.standard_normal((20, 3))

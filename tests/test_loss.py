@@ -132,6 +132,28 @@ class TestPseudoResiduals:
             assert fd == pytest.approx(r1[j], rel=1e-6)
 
 
+class TestCountWeights:
+    """An entry with a count stands for that many rows sharing its log w."""
+
+    def test_equal_to_the_expanded_rows(self, rng):
+        for _ in range(25):
+            logw0, logw1 = _random_log_weights(rng, n0=30, n1=20, scale=2.0)
+            c0 = rng.integers(1, 9, 30).astype(float)
+            c1 = rng.integers(1, 9, 20).astype(float)
+            rows0 = np.repeat(logw0, c0.astype(int))
+            rows1 = np.repeat(logw1, c1.astype(int))
+            cell_of0 = np.repeat(np.arange(30), c0.astype(int))
+            cell_of1 = np.repeat(np.arange(20), c1.astype(int))
+            m0, m1 = row_masses(logw0, logw1, c0, c1)
+            r0, r1 = row_masses(rows0, rows1)
+            np.testing.assert_allclose(m0, np.bincount(cell_of0, weights=r0), rtol=1e-12)
+            np.testing.assert_allclose(m1, np.bincount(cell_of1, weights=r1), rtol=1e-12)
+            got = rebalance(logw0, logw1, c0, c1)
+            want = rebalance(rows0, rows1)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
 class TestHellingerSplitScore:
     def test_perfect_separation_scores_zero(self):
         assert hellinger_split_score(1.0, 0.0, 0.0, 1.0) == 0.0

@@ -253,7 +253,7 @@ def _bench_job(job) -> dict:
         else:
             config = gibbs.GibbsConfig(seed=seed, **bayes_kw)
             draws = gibbs.run_sampler(data, grid, config)
-            est = draws.log_ratio_draws.mean(axis=0)
+            est, _ = gibbs.summarize(draws)
         out[method] = simulate.symmetrized_mse(truth, est, n0, n1)
     return out
 

@@ -5,6 +5,7 @@ the temperature, and posterior summarization."""
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -31,12 +32,16 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_trees", "burn_in", "draws"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_trees < 2 or self.n_trees % 2 != 0:
             raise ValueError("n_trees must be even (prior alternation needs pairs)")
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
-        if not (self.a0_tau > 0 and self.b0_tau > 0):
-            raise ValueError("a0_tau and b0_tau must be positive")
+        # the chained comparisons are false for NaN
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be positive and finite")
+        if not (0 < self.a0_tau < math.inf and 0 < self.b0_tau < math.inf):
+            raise ValueError("a0_tau and b0_tau must be positive and finite")
         p = np.asarray(self.move_probs, dtype=np.float64)
         if p.shape != (3,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
             raise ValueError("move_probs must be three nonnegative values summing to 1")
@@ -79,6 +84,8 @@ def leaf_full_conditional(s0: float, s1: float, tau: float, zeta: float,
                           lam: float, parity: str = "odd") -> LeafPosteriorParams:
     if s0 < 0 or s1 < 0 or tau < 0:
         raise ValueError("leaf sums and tau must be nonnegative")
+    if parity not in ("odd", "even"):
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, even=(parity == "even"))
     return LeafPosteriorParams(mu_p, lam_p)
 
@@ -110,11 +117,15 @@ def sample_inverse_gaussian(mu, lam, rng: np.random.Generator):
 
 
 def update_tau(logw0: np.ndarray, logw1: np.ndarray, a0: float, b0: float,
-               rng: np.random.Generator) -> float:
-    """Draw from the Gamma full conditional: shape a0 + n, rate b0 + n*l_n."""
+               rng: np.random.Generator, counts0=None, counts1=None) -> float:
+    """Draw from the Gamma full conditional: shape a0 + n, rate b0 + n*l_n.
+    Counts weight the entries as in loss.row_masses, and n counts rows."""
     check_log_weights(logw0, logw1)
-    n = logw0.size + logw1.size
-    rate = b0 + n * finite_sample_loss(logw0, logw1)
+    if counts0 is None:
+        n = logw0.size + logw1.size
+    else:
+        n = counts0.sum() + counts1.sum()
+    rate = b0 + n * finite_sample_loss(logw0, logw1, counts0, counts1)
     return float(rng.gamma(a0 + n, 1.0 / rate))
 
 
@@ -137,9 +148,10 @@ class SamplerTree:
     The structure uses DecisionTree's preorder layout, held in lists:
     feature (-1 at a leaf), right (the right child's index, -1 at a leaf)
     and value (the threshold at an internal node), plus each node's depth
-    and slot. A leaf's slot is its index into betas, -1 at internal nodes;
-    leaf_idx holds each row's leaf slot, as int32 to halve the memory of an
-    ensemble's row index.
+    and slot. A leaf's slot is its index into betas, -1 at internal nodes.
+    The tree's rows are the sampler's occupied grid cells (see run_sampler);
+    leaf_idx holds each one's leaf slot, as int32 to halve the memory of an
+    ensemble's index.
     """
 
     def __init__(self, n_rows: int, even: bool):
@@ -216,21 +228,30 @@ class SamplerTree:
 class MoveContext:
     """Everything a tree update needs about the residual state w_{-k}.
 
-    run_sampler builds one per run. Before each tree update, set_residual
-    refills the per-row weights in place: w0row holds w^{-1} on group-0 rows
-    [0, n0) and w1row holds w on group-1 rows [n0, n); both are 0 elsewhere,
-    including on evaluation rows past n. tau starts at 0, where moves follow
-    the tree prior alone, and run_sampler sets it once per sweep.
+    run_sampler builds one per run, over the occupied grid cells of its
+    points: bins holds each cell's bin row, the training cells first as the
+    prefix [0, C), then the cells that only evaluation points occupy.
+    counts0 and counts1 hold each training cell's group-0 and group-1 row
+    counts. Before each tree update, set_residual refills the per-cell
+    masses in place: w0 = counts0 * w^{-1} and w1 = counts1 * w on the
+    prefix; both stay 0 on evaluation-only cells. Where each row is its own
+    cell, the counts are 0/1 group indicators and the masses are the per-row
+    weights exactly. tau starts at 0, where moves follow the tree prior
+    alone, and run_sampler sets it once per sweep.
     """
 
-    def __init__(self, bins, cuts, n0: int, n: int, zeta: float, lam: float,
-                 prior: TreePrior, move_probs):
-        # one contiguous bin column per dimension, for the moves' row splits
+    def __init__(self, bins, cuts, counts0: np.ndarray, counts1: np.ndarray,
+                 zeta: float, lam: float, prior: TreePrior, move_probs):
+        # one contiguous bin column per dimension, for the moves' cell splits
         self.columns = [np.ascontiguousarray(bins[:, d]) for d in range(bins.shape[1])]
         self.cuts = cuts
-        self.n0, self.n = n0, n
-        self.w0row = np.zeros(bins.shape[0])
-        self.w1row = np.zeros(bins.shape[0])
+        self.counts0 = np.asarray(counts0, dtype=np.float64)
+        self.counts1 = np.asarray(counts1, dtype=np.float64)
+        self.w0 = np.zeros(bins.shape[0])
+        self.w1 = np.zeros(bins.shape[0])
+        # the training prefix of the masses, as views filled in place
+        self._w0 = self.w0[:self.counts0.size]
+        self._w1 = self.w1[:self.counts1.size]
         self.tau = 0.0
         self.zeta = zeta
         self.lam = lam
@@ -245,13 +266,23 @@ class MoveContext:
         return bisect_right(self.cdf, rng.random())
 
     def set_residual(self, logw: np.ndarray) -> None:
-        n0, n = self.n0, self.n
-        np.negative(logw[:n0], out=self.w0row[:n0])
-        np.exp(self.w0row[:n0], out=self.w0row[:n0])
-        np.exp(logw[n0:n], out=self.w1row[n0:n])
+        w0, w1 = self._w0, self._w1
+        np.negative(logw[:w0.size], out=w0)
+        np.exp(w0, out=w0)
+        w0 *= self.counts0
+        np.exp(logw[:w1.size], out=w1)
+        w1 *= self.counts1
 
-    def leaf_stats(self, rows: np.ndarray):
-        return float(self.w0row.take(rows).sum()), float(self.w1row.take(rows).sum())
+    def leaf_stats(self, cells: np.ndarray):
+        """The two group masses of a set of cells."""
+        return float(self.w0.take(cells).sum()), float(self.w1.take(cells).sum())
+
+    def leaf_sums(self, tree: SamplerTree):
+        """Every leaf's two group masses, as arrays indexed by slot. Each adds
+        its training cells in cell order."""
+        idx, nl = tree.leaf_idx[:self._w0.size], tree.n_leaves()
+        return (np.bincount(idx, weights=self._w0, minlength=nl),
+                np.bincount(idx, weights=self._w1, minlength=nl))
 
     def loglik(self, s0, s1, even):
         return integrated_leaf_loglik(s0, s1, self.tau, self.zeta, self.lam, even)
@@ -341,13 +372,10 @@ def _resample_betas(tree: SamplerTree, ctx: MoveContext,
 
     This is sample_inverse_gaussian leaf by leaf, in Python floats, on the
     same standard_normal(nl) and random(nl) draws, so the draws are bit-equal
-    to it. Each group's leaf sums add its rows in row order, as a bincount
-    over all rows with zero weight on the other group's rows does.
+    to it.
     """
+    s0, s1 = ctx.leaf_sums(tree)
     nl = tree.n_leaves()
-    n0, n = ctx.n0, ctx.n
-    s0 = np.bincount(tree.leaf_idx[:n0], weights=ctx.w0row[:n0], minlength=nl)
-    s1 = np.bincount(tree.leaf_idx[n0:n], weights=ctx.w1row[n0:n], minlength=nl)
     y = rng.standard_normal(nl)
     u = rng.random(nl)
     tau, zeta, lam, even = ctx.tau, ctx.zeta, ctx.lam, tree.even
@@ -366,10 +394,16 @@ def _resample_betas(tree: SamplerTree, ctx: MoveContext,
 
 @dataclass
 class PosteriorDraws:
-    """Recorded MCMC output: pointwise log-ratio draws, temperatures, and
-    per-draw ensemble summaries."""
+    """Recorded MCMC output: log-ratio draws, temperatures, and per-draw
+    ensemble summaries.
 
-    log_ratio_draws: np.ndarray  # draws x eval points
+    Points in one grid cell share every draw, so the log-ratio draws are
+    kept once per distinct cell of the evaluation points, with each point's
+    column beside them; log_ratio_draws expands them to one column per point.
+    """
+
+    cell_draws: np.ndarray  # draws x distinct evaluation cells
+    point_cell: np.ndarray  # int32: each evaluation point's column of cell_draws
     tau_draws: np.ndarray
     mean_leaves: np.ndarray
     mean_depth: np.ndarray
@@ -378,7 +412,12 @@ class PosteriorDraws:
 
     @property
     def n_draws(self) -> int:
-        return self.log_ratio_draws.shape[0]
+        return self.cell_draws.shape[0]
+
+    @property
+    def log_ratio_draws(self) -> np.ndarray:
+        """The draws x evaluation points matrix."""
+        return self.cell_draws.take(self.point_cell, axis=1)
 
 
 def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
@@ -389,6 +428,11 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     Per sweep: for every tree, compute the residual weights w_{-k}, attempt
     one structural move, and redraw its leaf parameters; then update tau.
     Evaluation points default to the union of the two training samples.
+
+    Every split is a cut of the grid, so the points of one grid cell share a
+    leaf in every tree. The state (log w, each tree's leaf index) is kept per
+    occupied cell of the training and evaluation points, and the cells' row
+    counts weight the leaf sums and tau.
     """
     rng = np.random.default_rng(config.seed)
     n0, n = data.n0, data.n
@@ -402,15 +446,32 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
             raise ValueError("evaluation points must match the data dimension")
         X = np.vstack([train, eval_points])
         eval_lo = n
-    N = X.shape[0]
-    ctx = MoveContext(grid.bin_indices(X), grid.cuts, n0, n, data.zeta,
+    cell_bins, _, inverse = grid.cells(grid.bin_indices(X))
+    n_cells = cell_bins.shape[0]
+    # cells come in order of first occurrence, so the training cells are a
+    # prefix [0, C) and the cells of evaluation points alone follow it
+    C = int(inverse[:n].max()) + 1
+    counts0 = np.bincount(inverse[:n0], minlength=C).astype(np.float64)
+    counts1 = np.bincount(inverse[n0:n], minlength=C).astype(np.float64)
+    ctx = MoveContext(cell_bins, grid.cuts, counts0, counts1, data.zeta,
                       config.leaf_precision, config.tree_prior(), config.move_probs)
-    trees = [SamplerTree(N, even=(k % 2 == 1)) for k in range(config.n_trees)]
-    logw = np.zeros(N)
+    trees = [SamplerTree(n_cells, even=(k % 2 == 1)) for k in range(config.n_trees)]
+    logw = np.zeros(n_cells)
+    train_logw = logw[:C]
+    if n_cells == X.shape[0]:
+        # each row is its own cell, and tau takes the two groups' row slices
+        lw0, lw1, c0, c1 = logw[:n0], logw[n0:n], None, None
+    else:
+        lw0 = lw1 = train_logw
+        c0, c1 = counts0, counts1
     tau = 0.0 if prior_only else config.a0_tau / config.b0_tau
     total = config.burn_in + config.draws
-    n_eval = N - eval_lo
-    lr_draws = np.empty((config.draws, n_eval))
+    # the draws are kept per distinct cell of the evaluation points
+    used = np.zeros(n_cells, dtype=bool)
+    used[inverse[eval_lo:]] = True
+    eval_cells = np.flatnonzero(used)
+    point_cell = (np.cumsum(used) - 1)[inverse[eval_lo:]].astype(np.int32)
+    cell_draws = np.empty((config.draws, eval_cells.size))
     tau_draws = np.empty(config.draws)
     mean_leaves = np.empty(config.draws)
     mean_depth = np.empty(config.draws)
@@ -421,7 +482,7 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
         tried, taken = [0, 0, 0], [0, 0, 0]
         for tree in trees:
             logw -= tree.contributions()
-            check_log_weights(logw[:n])
+            check_log_weights(train_logw)
             ctx.set_residual(logw)
             move, ok = mh_tree_move(tree, ctx, rng)
             tried[move] += 1
@@ -431,26 +492,27 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
         attempts[sweep] = tried
         accepts[sweep] = taken
         if not prior_only:
-            tau = update_tau(logw[:n0], logw[n0:n], config.a0_tau, config.b0_tau, rng)
+            tau = update_tau(lw0, lw1, config.a0_tau, config.b0_tau, rng, c0, c1)
         if (sweep + 1) % 100 == 0:
-            _verify_state(trees, X, logw)
+            _verify_state(trees, X, logw, inverse)
         if sweep >= config.burn_in:
             d = sweep - config.burn_in
-            lr_draws[d] = 2.0 * logw[eval_lo:]
+            cell_draws[d] = 2.0 * logw.take(eval_cells)
             tau_draws[d] = tau
             mean_leaves[d] = np.mean([t.n_leaves() for t in trees])
             mean_depth[d] = np.mean([t.max_depth() for t in trees])
-    return PosteriorDraws(lr_draws, tau_draws, mean_leaves, mean_depth,
+    return PosteriorDraws(cell_draws, point_cell, tau_draws, mean_leaves, mean_depth,
                           attempts, accepts)
 
 
-def _verify_state(trees, X, logw, tol=1e-8) -> None:
+def _verify_state(trees, X, logw, inverse, tol=1e-8) -> None:
     """Recompute log w by routing every point through each tree's float
-    thresholds; guards the incrementally maintained state."""
+    thresholds, and compare it with the log w of the point's cell; guards
+    the incrementally maintained state and the point-to-cell map."""
     fresh = np.zeros(X.shape[0])
     for tree in trees:
         fresh += tree.decision_tree(X.shape[1]).evaluate_many(X)
-    err = np.max(np.abs(fresh - logw)) if logw.size else 0.0
+    err = np.max(np.abs(fresh - logw.take(inverse))) if fresh.size else 0.0
     if err > tol:
         raise AssertionError(f"incremental log-weight state drifted by {err}")
 
@@ -467,10 +529,18 @@ def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):
     """Per-point posterior mean and linear-interpolation quantiles of log r.
 
     Returns (means, quantile matrix of shape n_points x len(quantiles)).
+    Both are taken per evaluation cell and gathered to the points; a cell's
+    column holds each of its points' draws in order, so the result is
+    bit-equal to summarizing log_ratio_draws.
     """
     if draws.n_draws == 0:
         raise ValueError("no posterior draws to summarize")
     q = check_quantiles(quantiles)
-    means = draws.log_ratio_draws.mean(axis=0)
-    qs = np.quantile(draws.log_ratio_draws, q, axis=0).T
+    cells = draws.cell_draws
+    if cells.shape[1] == 1 and draws.point_cell.size > 1:
+        # numpy sums a lone column pairwise, but the columns of a wider
+        # matrix, such as the per-point one, row by row
+        cells = np.repeat(cells, 2, axis=1)
+    means = cells.mean(axis=0).take(draws.point_cell)
+    qs = np.quantile(cells, q, axis=0).T.take(draws.point_cell, axis=0)
     return means, qs

@@ -3,8 +3,9 @@
 split score.
 
 Every function takes the log-weights log w over group 0 and group 1 as the two
-arrays (logw0, logw1) that boosting and the sampler already hold. row_masses
-and rebalance also take per-entry row counts, for boosting's grid cells.
+arrays (logw0, logw1) that boosting and the sampler already hold.
+finite_sample_loss, row_masses and rebalance also take per-entry row counts,
+for the grid cells that boosting and the sampler run on.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ def check_log_weights(*log_arrays) -> None:
             )
 
 
-def finite_sample_loss(logw0: np.ndarray, logw1: np.ndarray) -> float:
-    """l_n(w) = mean of w^{-1} over group 0 plus mean of w over group 1."""
-    return float(np.exp(-logw0).mean() + np.exp(logw1).mean())
+def finite_sample_loss(logw0: np.ndarray, logw1: np.ndarray, counts0=None,
+                       counts1=None) -> float:
+    """l_n(w) = mean of w^{-1} over group 0 plus mean of w over group 1.
+    Counts weight the entries as in row_masses."""
+    return float(_row_mean(np.exp(-logw0), counts0) + _row_mean(np.exp(logw1), counts1))
 
 
 def row_masses(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +173,8 @@ class TreePrior:
     def __post_init__(self):
         if not 0.0 < self.a_T < 1.0:
             raise ValueError("a_T must lie in (0, 1)")
-        if self.b_T < 0.0:
-            raise ValueError("b_T must be >= 0")
+        if not 0.0 <= self.b_T < math.inf:  # false for NaN
+            raise ValueError("b_T must be >= 0 and finite")
 
 
 def split_probability(prior: TreePrior, depth: int) -> float:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from batts import cli, gibbs
+from batts import build_cut_grid, cli, gibbs, simulate
 from batts.cli import dispatch, run_bench
 from batts.data import load_matrix
 
@@ -102,6 +102,8 @@ class TestBayesCommand:
         (["--quantiles", "abc"],
          "error: --quantiles must be comma-separated numbers, got 'abc'\n"),
         (["--draws", "0"], "error: --draws must be >= 1\n"),
+        (["--lambda0", "nan"], "error: lambda0 must be positive and finite\n"),
+        (["--lambda0", "inf"], "error: lambda0 must be positive and finite\n"),
     ])
     def test_bad_request_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   extra, message):
@@ -116,6 +118,24 @@ class TestBayesCommand:
                          *extra, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+    def test_fractional_burn_in_in_config_rejected_before_sampling(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        s0, s1, _ = _simulate(tmp_path, n0=80, n1=80)
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_sampler was entered")
+
+        monkeypatch.setattr(gibbs, "run_sampler", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"burnin": 2.5}))
+        out = tmp_path / "post.csv"
+        code = dispatch(["bayes", "--config", str(cfg), "--sample0", str(s0),
+                         "--sample1", str(s1), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: burn_in must be an integer\n"
         assert not out.exists()
 
 
@@ -150,6 +170,21 @@ class TestBench:
                          ["fs", "gb"], replicates=3, seed=0, threads=1)
         assert len(rows) == 4
         assert all(r[3] == 1.0 and r[4] == 0.0 for r in rows)
+
+    def test_bayes_job_mse_is_that_of_the_per_point_mean(self):
+        """The bench job's posterior mean comes from summarize, per cell; its
+        MSE is bit-equal to that of the mean of the draws x rows matrix."""
+        bayes_kw = dict(n_trees=10, burn_in=20, draws=15)
+        job = ("GlobalShift2D", "balanced", 120, 100, ["bayes"], 4, {}, bayes_kw)
+        got = cli._bench_job(job)["bayes"]
+        scenario = simulate.make_scenario("GlobalShift2D", seed=4)
+        data = simulate.generate(scenario, 120, 100, seed=4)
+        draws = gibbs.run_sampler(data, build_cut_grid(data, 31),
+                                  gibbs.GibbsConfig(seed=4, **bayes_kw))
+        assert draws.cell_draws.shape[1] < data.n
+        truth = simulate.true_log_ratio(scenario, data.pooled())
+        est = draws.log_ratio_draws.mean(axis=0)
+        assert got == simulate.symmetrized_mse(truth, est, 120, 100)
 
     def test_unknown_size_or_method(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -232,6 +267,25 @@ class TestLeanImports:
             "fit(data, build_cut_grid(data, 31), BoostConfig(max_trees=5, cv_folds=2))\n"
             "assert 'numpy.ma' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_2d_sampler_run_skips_numpy_ma(self):
+        """The sampler's cell map does without np.unique too."""
+        code = (
+            "import sys\n"
+            "from batts import GibbsConfig, build_cut_grid, generate, make_scenario\n"
+            "from batts import run_sampler\n"
+            "data = generate(make_scenario('GlobalShift2D', seed=0), 200, 200, seed=0)\n"
+            "draws = run_sampler(data, build_cut_grid(data, 31),\n"
+            "                    GibbsConfig(n_trees=10, burn_in=5, draws=5),\n"
+            "                    eval_points=[[0.0, 0.0], [50.0, 50.0]])\n"
+            "assert draws.cell_draws.shape == (5, 2)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))

@@ -107,6 +107,11 @@ class TestLeafConjugacy:
         with pytest.raises(ValueError):
             leaf_full_conditional(-1.0, 1.0, 1.0, 0.5, 10.0)
 
+    @pytest.mark.parametrize("parity", ["Odd", "EVEN", "even ", "", "1"])
+    def test_unknown_parity_rejected(self, parity):
+        with pytest.raises(ValueError, match="parity"):
+            leaf_full_conditional(3.0, 7.0, 0.8, 0.5, 20.0, parity=parity)
+
 
 class TestIntegratedLoglik:
     def test_matches_quadrature(self, rng):
@@ -137,8 +142,8 @@ class TestHotPathOracles:
 
     @pytest.mark.parametrize("p", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.5, 0.5, 0.0)])
     def test_move_pick_equals_generator_choice(self, p):
-        ctx = MoveContext(np.zeros((1, 1), dtype=np.int64), [np.array([0.0])], 1, 1,
-                          0.5, 10.0, TreePrior(), p)
+        ctx = MoveContext(np.zeros((1, 1), dtype=np.int64), [np.array([0.0])],
+                          np.ones(1), np.ones(1), 0.5, 10.0, TreePrior(), p)
         mine, ref = np.random.default_rng(17), np.random.default_rng(17)
         picks = [ctx.draw_move(mine) for _ in range(10_000)]
         expected = [int(ref.choice(3, p=p)) for _ in range(10_000)]
@@ -149,27 +154,35 @@ class TestHotPathOracles:
     @pytest.mark.parametrize("even", [False, True])
     def test_beta_redraw_equals_vectorized_sampler(self, even):
         """Leaf by leaf in floats, bit-equal to log(sample_inverse_gaussian)
-        on the numpy full conditional, with zero-weight evaluation rows."""
+        on the numpy full conditional, with zero-weight evaluation cells;
+        on rows (0/1 group counts) and on cells with counts up to 3."""
         gen = np.random.default_rng(21)
-        n0, n, N = 40, 70, 90  # rows past n are evaluation points
+        n0, C, N = 40, 70, 90  # cells past C are evaluation-only
         bins = gen.integers(0, 8, size=(N, 2))
+        group0 = (np.arange(C) < n0).astype(float)
+        counts = [(group0, 1.0 - group0), tuple(gen.integers(0, 4, size=(2, C)).astype(float))]
         tree = SamplerTree(N, even=even)
         tree.apply_grow(0, 0, 3.0, np.nonzero(bins[:, 0] > 3)[0])
         rows = np.nonzero(bins[:, 0] <= 3)[0]
         tree.apply_grow(1, 1, 2.0, rows[bins[rows, 1] > 2])
-        tree.leaf_idx[n:] = 1  # evaluation rows all in one leaf
-        for seed in range(200):
+        tree.leaf_idx[C:] = 1  # evaluation-only cells all in one leaf
+        for seed in range(400):
+            counts0, counts1 = counts[seed % 2]
             # small lam and tau make every term of the transform matter
-            ctx = MoveContext(bins, [np.arange(7.0), np.arange(7.0)], n0, n, n0 / n,
-                              gen.uniform(0.5, 50.0), TreePrior(), (1 / 3, 1 / 3, 1 / 3))
+            ctx = MoveContext(bins, [np.arange(7.0), np.arange(7.0)], counts0, counts1,
+                              n0 / C, gen.uniform(0.5, 50.0), TreePrior(),
+                              (1 / 3, 1 / 3, 1 / 3))
             ctx.tau = gen.uniform(0.0, 2.0)
-            ctx.set_residual(gen.normal(0.0, 0.5, size=N))
-            assert np.all(ctx.w0row[n0:] == 0) and np.all(ctx.w1row[:n0] == 0)
+            logw = gen.normal(0.0, 0.5, size=N)
+            ctx.set_residual(logw)
+            np.testing.assert_array_equal(ctx.w0[:C], counts0 * np.exp(-logw[:C]))
+            np.testing.assert_array_equal(ctx.w1[:C], counts1 * np.exp(logw[:C]))
+            assert np.all(ctx.w0[C:] == 0) and np.all(ctx.w1[C:] == 0)
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             _resample_betas(tree, ctx, mine)
-            # the replaced code: bincounts over all rows, numpy full conditional
-            s0 = np.bincount(tree.leaf_idx, weights=ctx.w0row, minlength=3)
-            s1 = np.bincount(tree.leaf_idx, weights=ctx.w1row, minlength=3)
+            # the replaced code: bincounts over all cells, numpy full conditional
+            s0 = np.bincount(tree.leaf_idx, weights=ctx.w0, minlength=3)
+            s1 = np.bincount(tree.leaf_idx, weights=ctx.w1, minlength=3)
             a = 2.0 * ctx.tau * s0 / ctx.zeta
             b = 2.0 * ctx.tau * s1 / (1.0 - ctx.zeta)
             if even:
@@ -247,6 +260,17 @@ class TestTauUpdate:
         assert draws.mean() == pytest.approx(shape / rate, rel=0.01)
         assert draws.var() == pytest.approx(shape / rate**2, rel=0.05)
 
+    def test_counts_equal_the_expanded_rows(self, rng):
+        """With counts, the draw is the one the expanded rows give, from the
+        same generator state."""
+        for seed in range(20):
+            logw0, logw1 = rng.normal(0.0, 1.5, size=(2, 25))
+            c0, c1 = rng.integers(0, 6, size=(2, 25)).astype(float)
+            rows0, rows1 = np.repeat(logw0, c0.astype(int)), np.repeat(logw1, c1.astype(int))
+            got = update_tau(logw0, logw1, 1.0, 2.0, np.random.default_rng(seed), c0, c1)
+            want = update_tau(rows0, rows1, 1.0, 2.0, np.random.default_rng(seed))
+            assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestGrowFactor:
     def test_matches_split_probability_expression(self):
@@ -287,8 +311,9 @@ class TestSamplerTreeBookkeeping:
         gen = np.random.default_rng(seed)
         grid = build_cut_grid(data, 7)
         X = data.pooled()
-        ctx = MoveContext(grid.bin_indices(X), grid.cuts, 15, 30, data.zeta, 10.0,
-                          TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+        group0 = (np.arange(30) < 15).astype(float)
+        ctx = MoveContext(grid.bin_indices(X), grid.cuts, group0, 1.0 - group0, data.zeta,
+                          10.0, TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
         tree = SamplerTree(30, even=False)
         for _ in range(n_moves):
             move, ok = mh_tree_move(tree, ctx, gen)
@@ -326,10 +351,11 @@ class TestSamplerTreeBookkeeping:
             trees.append(tree)
         assert all(t.n_leaves() > 1 for t in trees)
         logw = sum(t.contributions() for t in trees)
-        _verify_state(trees, X, logw)
+        rows = np.arange(30)  # each row its own cell
+        _verify_state(trees, X, logw, rows)
         trees[1].betas[-1] += 1e-6  # logw not updated
         with pytest.raises(AssertionError, match="drifted"):
-            _verify_state(trees, X, logw)
+            _verify_state(trees, X, logw, rows)
 
 
 class TestGibbsConfig:
@@ -344,6 +370,15 @@ class TestGibbsConfig:
         {"a_T": 1.5},
         {"a_T": 0.0},
         {"b_T": -1.0},
+        {"lambda0": float("nan")},
+        {"lambda0": float("inf")},
+        {"a0_tau": float("nan")},
+        {"b0_tau": float("inf")},
+        {"b_T": float("nan")},
+        {"b_T": float("inf")},
+        {"burn_in": 2.5},
+        {"draws": 1.5},
+        {"n_trees": 4.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -435,7 +470,8 @@ class TestRunSampler:
 class TestSummarize:
     def test_mean_and_quantiles(self):
         lr = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
-        d = PosteriorDraws(lr, np.zeros(101), np.zeros(101), np.zeros(101),
+        d = PosteriorDraws(lr, np.zeros(1, dtype=np.int32), np.zeros(101), np.zeros(101),
+                           np.zeros(101),
                            np.zeros((101, 3), dtype=np.int64),
                            np.zeros((101, 3), dtype=np.int64))
         means, qs = summarize(d, quantiles=(0.25, 0.75))
@@ -444,13 +480,168 @@ class TestSummarize:
         assert qs[0, 1] == pytest.approx(0.75)
 
     def test_validation(self):
-        empty = PosteriorDraws(np.empty((0, 2)), np.empty(0), np.empty(0),
+        both = np.arange(2, dtype=np.int32)
+        empty = PosteriorDraws(np.empty((0, 2)), both, np.empty(0), np.empty(0),
                                np.empty(0), np.zeros((0, 3), dtype=np.int64),
                                np.zeros((0, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             summarize(empty)
-        full = PosteriorDraws(np.zeros((3, 2)), np.zeros(3), np.zeros(3),
+        full = PosteriorDraws(np.zeros((3, 2)), both, np.zeros(3), np.zeros(3),
                               np.zeros(3), np.zeros((3, 3), dtype=np.int64),
                               np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             summarize(full, quantiles=(0.0, 0.5))
+
+
+def _cell_sample(gen, n0=150, n1=90, bins_per_dim=4):
+    """Binned rows that share cells, with their cell map and group counts."""
+    grid = CutGrid((np.arange(bins_per_dim - 1.0), np.arange(bins_per_dim - 1.0)))
+    rows = gen.integers(0, bins_per_dim, size=(n0 + n1, 2))
+    cell_bins, _, inverse = grid.cells(rows)
+    C = cell_bins.shape[0]
+    counts0 = np.bincount(inverse[:n0], minlength=C).astype(float)
+    counts1 = np.bincount(inverse[n0:], minlength=C).astype(float)
+    return grid, rows, cell_bins, inverse, counts0, counts1
+
+
+class TestCells:
+    """The sampler's state per occupied grid cell against the same state per row."""
+
+    def test_cell_leaf_sums_equal_row_leaf_sums(self):
+        gen = np.random.default_rng(31)
+        n0, n1 = 150, 90
+        for trial in range(20):
+            grid, rows, cell_bins, inverse, counts0, counts1 = _cell_sample(gen, n0, n1)
+            assert cell_bins.shape[0] < rows.shape[0] // 4
+            group0 = (np.arange(n0 + n1) < n0).astype(float)
+            rest = (n0 / (n0 + n1), 10.0, TreePrior(0.95, 0.5), (0.6, 0.2, 0.2))
+            cells = MoveContext(cell_bins, grid.cuts, counts0, counts1, *rest)
+            by_row = MoveContext(rows, grid.cuts, group0, 1.0 - group0, *rest)
+            # a random tree state: prior moves on cells, the same tree on rows
+            tree = SamplerTree(cell_bins.shape[0], even=bool(trial % 2))
+            while tree.n_leaves() < 4:
+                mh_tree_move(tree, cells, gen)
+            row_tree = SamplerTree(rows.shape[0], even=tree.even)
+            row_tree.leaf_idx = tree.leaf_idx[inverse]
+            row_tree.betas = tree.betas
+            logw = gen.normal(0.0, 1.0, size=cell_bins.shape[0])
+            cells.set_residual(logw)
+            by_row.set_residual(logw[inverse])
+            for got, want in zip(cells.leaf_sums(tree), by_row.leaf_sums(row_tree)):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+            for slot in range(tree.n_leaves()):
+                got = cells.leaf_stats(tree.rows_of(slot))
+                want = by_row.leaf_stats(row_tree.rows_of(slot))
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_evaluation_only_cells_carry_zero_weight(self):
+        gen = np.random.default_rng(32)
+        grid, rows, cell_bins, inverse, counts0, counts1 = _cell_sample(gen)
+        C = cell_bins.shape[0]
+        # evaluation-only cells after the training prefix, as run_sampler lays them out
+        extra = np.array([[9, 9], [9, 0], [0, 9]])
+        bins = np.vstack([cell_bins, extra])
+        ctx = MoveContext(bins, grid.cuts, counts0, counts1, 0.5, 10.0, TreePrior(),
+                          (1 / 3, 1 / 3, 1 / 3))
+        tree = SamplerTree(bins.shape[0], even=False)
+        tree.apply_grow(0, 0, 1.0, np.nonzero(bins[:, 0] > 1)[0])
+        ctx.set_residual(gen.normal(0.0, 1.0, size=bins.shape[0]))
+        assert np.all(ctx.w0[C:] == 0) and np.all(ctx.w1[C:] == 0)
+        assert np.all(ctx.w0[:C][counts0 > 0] > 0) and np.all(ctx.w1[:C][counts1 > 0] > 0)
+        before = ctx.leaf_sums(tree)
+        tree.leaf_idx[C:] = 1 - tree.leaf_idx[C:]  # move them to the other leaf
+        for got, want in zip(ctx.leaf_sums(tree), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_evaluation_only_cells_leave_the_chain_alone(self, shifted_2d):
+        """Far evaluation points add cells of zero weight: the training
+        points' draws and tau match the run without them."""
+        data, grid = shifted_2d
+        config = _small_config(burn_in=60, draws=40)
+        plain = run_sampler(data, grid, config)
+        far = np.array([[40.0, 40.0], [-40.0, 40.0], [40.0, -40.0]])
+        both = run_sampler(data, grid, config, eval_points=np.vstack([data.pooled(), far]))
+        assert both.log_ratio_draws.shape == (40, data.n + 3)
+        np.testing.assert_allclose(both.log_ratio_draws[:, :data.n], plain.log_ratio_draws,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(both.tau_draws, plain.tau_draws, rtol=1e-9)
+        np.testing.assert_array_equal(both.move_accepts, plain.move_accepts)
+
+    def test_evaluation_point_in_a_training_cell_gets_its_draws(self, shifted_2d):
+        data, grid = shifted_2d
+        config = _small_config(burn_in=60, draws=40)
+        plain = run_sampler(data, grid, config)
+        X = data.pooled()
+        idx = np.random.default_rng(33).choice(data.n, size=25, replace=False)
+        nudged = X[idx] + 1e-9
+        assert np.array_equal(grid.bin_indices(nudged), grid.bin_indices(X[idx]))
+        draws = run_sampler(data, grid, config, eval_points=nudged)
+        # no evaluation-only cells, so the chain is the plain one
+        np.testing.assert_array_equal(draws.tau_draws, plain.tau_draws)
+        np.testing.assert_array_equal(draws.log_ratio_draws, plain.log_ratio_draws[:, idx])
+        assert draws.cell_draws.shape[1] == len(set(map(tuple, grid.bin_indices(nudged))))
+
+    def test_training_draws_are_stored_once_per_cell(self, shifted_2d):
+        data, grid = shifted_2d
+        draws = run_sampler(data, grid, _small_config(burn_in=20, draws=10))
+        bins = grid.bin_indices(data.pooled())
+        n_cells = len(set(map(tuple, bins)))
+        assert n_cells < data.n
+        assert draws.cell_draws.shape == (10, n_cells)
+        assert draws.point_cell.dtype == np.int32
+        # points share a column exactly when they share a cell
+        for c in range(n_cells):
+            members = bins[draws.point_cell == c]
+            assert (members == members[0]).all()
+
+    @pytest.mark.parametrize("n_draws, n_cells, n_points", [
+        (37, 13, 60), (200, 2, 9), (1000, 40, 41), (64, 1, 5), (64, 1, 1), (1, 3, 7)])
+    def test_summarize_per_cell_is_bit_equal_to_expanded(self, n_draws, n_cells, n_points):
+        """Against the draws x points matrix the sampler kept before: one
+        row per draw, filled in place."""
+        gen = np.random.default_rng(34)
+        for _ in range(10):
+            # mixed magnitudes, so that any change in summation order shows
+            cell_draws = gen.normal(0.0, 1.0, (n_draws, n_cells)) * 10.0 ** gen.integers(
+                -8, 8, (n_draws, n_cells))
+            point_cell = np.concatenate([np.arange(n_cells), gen.integers(
+                0, n_cells, n_points - n_cells)]).astype(np.int32)
+            gen.shuffle(point_cell)
+            expanded = np.empty((n_draws, n_points))
+            for d in range(n_draws):
+                expanded[d] = cell_draws[d, point_cell]
+            rest = (np.zeros(n_draws), np.zeros(n_draws), np.zeros(n_draws),
+                    np.zeros((n_draws, 3), dtype=np.int64), np.zeros((n_draws, 3), dtype=np.int64))
+            per_cell = PosteriorDraws(cell_draws, point_cell, *rest)
+            per_point = PosteriorDraws(expanded, np.arange(n_points, dtype=np.int32), *rest)
+            np.testing.assert_array_equal(per_cell.log_ratio_draws, expanded)
+            q = (0.025, 0.3, 0.5, 0.975)
+            for got, want in zip(summarize(per_cell, q), summarize(per_point, q)):
+                np.testing.assert_array_equal(got, want)
+            means, qs = summarize(per_cell, q)
+            np.testing.assert_array_equal(means, expanded.mean(axis=0))
+            np.testing.assert_array_equal(qs, np.quantile(expanded, q, axis=0).T)
+
+    def test_corrupted_cell_map_trips_verify_state(self, shifted_2d):
+        data, grid = shifted_2d
+        X = data.pooled()
+        cell_bins, _, inverse = grid.cells(grid.bin_indices(X))
+        C = cell_bins.shape[0]
+        group0 = np.bincount(inverse[:data.n0], minlength=C).astype(float)
+        group1 = np.bincount(inverse[data.n0:], minlength=C).astype(float)
+        ctx = MoveContext(cell_bins, grid.cuts, group0, group1, data.zeta, 10.0,
+                          TreePrior(0.95, 0.5), (0.6, 0.2, 0.2))
+        gen = np.random.default_rng(35)
+        trees = [SamplerTree(C, even=bool(k % 2)) for k in range(4)]
+        for tree in trees:
+            for _ in range(40):
+                mh_tree_move(tree, ctx, gen)
+            tree.betas = gen.normal(0.0, 1.0, tree.n_leaves())
+        logw = sum(t.contributions() for t in trees)
+        _verify_state(trees, X, logw, inverse)
+        # point one row at another cell with a different log w
+        row = int(np.argmax(np.abs(logw[inverse] - logw[inverse[0]])))
+        bad = inverse.copy()
+        bad[row] = inverse[0]
+        with pytest.raises(AssertionError, match="drifted"):
+            _verify_state(trees, X, logw, bad)

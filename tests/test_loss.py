@@ -153,6 +153,20 @@ class TestCountWeights:
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             assert got[1] == pytest.approx(want[1], rel=1e-12)
 
+    def test_loss_equal_to_the_expanded_rows(self, rng):
+        """Counts of 0 included: a sampler cell may hold one group only."""
+        for _ in range(25):
+            logw0, logw1 = _random_log_weights(rng, n0=30, n1=30, scale=2.0)
+            c0 = rng.integers(0, 9, 30).astype(float)
+            c1 = rng.integers(0, 9, 30).astype(float)
+            rows0 = np.repeat(logw0, c0.astype(int))
+            rows1 = np.repeat(logw1, c1.astype(int))
+            got = finite_sample_loss(logw0, logw1, c0, c1)
+            assert got == pytest.approx(finite_sample_loss(rows0, rows1), rel=1e-12)
+        ones = np.ones(30)
+        assert finite_sample_loss(logw0, logw1, ones, ones) == pytest.approx(
+            finite_sample_loss(logw0, logw1), rel=1e-12)
+
 
 class TestHellingerSplitScore:
     def test_perfect_separation_scores_zero(self):

@@ -4,6 +4,7 @@ with shrinkage, one-group pruning, and cross-validated tree-count selection."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_trees", "max_depth", "cv_folds", "min_leaf_total"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.algorithm not in ("fs", "gb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -144,24 +148,29 @@ def predict_log_ratio(model: EnsembleModel, points: np.ndarray) -> np.ndarray:
 
 class _Grower:
     """Greedy tree construction shared by the FS and GB criteria, over the
-    occupied grid cells of each group (see CutGrid.cells).
+    occupied grid cells of each group (see CutGrid.cells), one depth at a
+    time.
 
     Rows of one cell fall in the same child of every split, so a cell is
     grown as one entry with its row count and the summed mass of its rows.
     counts0/counts1 are the cells' row counts, or None where every cell
-    holds one row; then the grower makes the same numpy calls as on rows.
-    Split search scores every (dimension, cut) of a node at once. Each
-    (dimension, bin) pair is one histogram bucket, with key
-    dim * width + bin, where width is one more than the largest cut count;
-    so one bincount per histogram covers all dimensions, and cumulative sums
-    along each dimension's row give the left-child totals of its cuts.
+    holds one row; then the count histograms are unweighted.
+    At each depth the live cells, those of nodes that may still split, are
+    kept in cell order with the slot of their node among the depth's nodes,
+    and split search scores every (node, dimension, cut) of the depth at
+    once. Each (slot, dimension, bin) triple is one histogram bucket, with
+    key (slot * dims + dim) * width + bin, where width is one more than the
+    largest cut count; so one bincount per histogram covers every node and
+    dimension, each bucket adds its cells in cell order, and cumulative sums
+    along each (node, dimension) row give the left-child totals of its cuts.
     The fs criterion scores a split by the affinity of its children's masses,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
     -m1 (see loss.row_masses), both from the two mass histograms. Children
     with rows from only one group, or with fewer than min_leaf_total pooled
     rows, are refused; the count histograms are weighted by the cell counts,
     so both rules count rows, not cells. That also refuses the cut indices
-    past a dimension's own cut count, which send every row left.
+    past a dimension's own cut count, which send every row left. A node with
+    no valid split, or at max_depth, becomes a leaf.
     """
 
     def __init__(self, bins0, bins1, counts0, counts1, cuts, max_depth, min_leaf_total,
@@ -170,6 +179,11 @@ class _Grower:
         offsets = np.arange(len(cuts)) * self.width
         self.keys0 = bins0 + offsets
         self.keys1 = bins1 + offsets
+        # each depth's live keys and repeated weights are written here, not
+        # into fresh arrays: in 20-D those are hundreds of KB, and the
+        # allocator hands such pages back and faults them in again each depth
+        self.kbuf0, self.kbuf1 = np.empty_like(self.keys0), np.empty_like(self.keys1)
+        self.wbuf0, self.wbuf1 = np.empty(self.keys0.shape), np.empty(self.keys1.shape)
         self.counts0 = counts0
         self.counts1 = counts1
         self.cuts = cuts
@@ -182,85 +196,150 @@ class _Grower:
 
         m0/m1 are the per-cell masses of loss.row_masses.
         """
-        self.m0 = m0
-        self.m1 = m1
-        self.contrib0 = np.empty(m0.size)
-        self.contrib1 = np.empty(m1.size)
-        self.feature, self.right, self.value = [], [], []
-        self._split(np.arange(m0.size), np.arange(m1.size), 0)
-        tree = DecisionTree(self.feature, self.right, self.value, len(self.cuts))
-        return tree, self.contrib0, self.contrib1
+        contrib0 = np.empty(m0.size)
+        contrib1 = np.empty(m1.size)
+        live0, live1 = np.arange(m0.size), np.arange(m1.size)
+        slot0, slot1 = np.zeros(m0.size, np.intp), np.zeros(m1.size, np.intp)
+        # the nodes in breadth-first order: split dimension (-1 at a leaf),
+        # threshold or beta, and the first of the two children
+        feature, value, child = [], [], []
+        nodes = 1
+        for depth in range(self.max_depth + 1):
+            w0, w1 = m0[live0], m1[live1]
+            p = np.bincount(slot0, weights=w0, minlength=nodes)
+            q = np.bincount(slot1, weights=w1, minlength=nodes)
+            if depth < self.max_depth:
+                dim, cut = self.search(live0, slot0, w0, p, live1, slot1, w1, q, nodes)
+            else:
+                dim = cut = np.full(nodes, -1)
+            leaf = dim < 0
+            beta = np.zeros(nodes)
+            if leaf.any():
+                beta[leaf] = optimal_leaf_value(p[leaf], q[leaf])
+            # split nodes get consecutive child slots, in slot order
+            child_slot = 2 * np.cumsum(~leaf) - 2
+            first = len(feature) + nodes
+            for d, j, b, c in zip(dim.tolist(), cut.tolist(), beta.tolist(),
+                                  child_slot.tolist()):
+                feature.append(d)
+                value.append(b if d < 0 else float(self.cuts[d][j]))
+                child.append(-1 if d < 0 else first + c)
+            if leaf.all():
+                contrib0[live0] = beta[slot0]
+                contrib1[live1] = beta[slot1]
+                break
+            split_key = dim * self.width + cut
+            live0, slot0 = self._route(self.keys0, contrib0, live0, slot0, leaf, beta,
+                                       dim, split_key, child_slot)
+            live1, slot1 = self._route(self.keys1, contrib1, live1, slot1, leaf, beta,
+                                       dim, split_key, child_slot)
+            nodes = 2 * (nodes - int(np.count_nonzero(leaf)))
+        return self._preorder(feature, value, child), contrib0, contrib1
 
-    def _split(self, idx0, idx1, depth):
-        node = len(self.feature)
-        best = self._best_split(idx0, idx1) if depth < self.max_depth else None
-        if best is None:
-            beta = optimal_leaf_value(self.m0[idx0].sum(), self.m1[idx1].sum())
-            self.contrib0[idx0] = beta
-            self.contrib1[idx1] = beta
-            self.feature.append(-1)
-            self.right.append(-1)
-            self.value.append(beta)
-            return
-        dim, j = best
-        key = dim * self.width + j
-        left0 = self.keys0[idx0, dim] <= key
-        left1 = self.keys1[idx1, dim] <= key
-        self.feature.append(dim)
-        self.right.append(-1)
-        self.value.append(float(self.cuts[dim][j]))
-        self._split(idx0[left0], idx1[left1], depth + 1)
-        self.right[node] = len(self.feature)
-        self._split(idx0[~left0], idx1[~left1], depth + 1)
+    @staticmethod
+    def _route(keys, contrib, live, slot, leaf, beta, dim, split_key, child_slot):
+        """Give the cells of leaf nodes their beta, and send the others to
+        their node's left or right child: the next depth's live cells and
+        slots."""
+        if leaf.any():
+            done = leaf[slot]
+            contrib[live[done]] = beta[slot[done]]
+            stay = ~done
+            live, slot = live[stay], slot[stay]
+        right = keys[live, dim[slot]] > split_key[slot]
+        return live, child_slot[slot] + right
 
-    def _left_totals(self, keys, weights=None):
-        """(dims, cuts) matrix: the sum of weights (or the count) of the cells
-        routed left of each cut. Each bucket adds its cells in cell order."""
-        d = len(self.cuts)
-        if weights is not None:
-            weights = np.repeat(weights, d)
-        hist = np.bincount(keys.ravel(), weights=weights, minlength=d * self.width)
-        return np.cumsum(hist.reshape(d, self.width), axis=1)[:, :-1]
+    def _preorder(self, feature, value, child):
+        """The tree of breadth-first node lists, in DecisionTree's preorder
+        arrays."""
+        pre_feature, pre_right, pre_value = [], [], []
+        stack = [(0, -1)]
+        while stack:
+            n, parent = stack.pop()
+            if parent >= 0:  # n is the right child of parent
+                pre_right[parent] = len(pre_feature)
+            pre_right.append(-1)
+            pre_feature.append(feature[n])
+            pre_value.append(value[n])
+            if feature[n] >= 0:
+                stack.append((child[n] + 1, len(pre_feature) - 1))
+                stack.append((child[n], -1))
+        return DecisionTree(pre_feature, pre_right, pre_value, len(self.cuts))
 
-    def _row_counts(self, keys, counts, idx):
-        """The row counts left of each cut, and the node's row count."""
-        if counts is None:
-            return self._left_totals(keys), idx.size
-        counts = counts[idx]
-        return self._left_totals(keys, counts), counts.sum()
+    def search(self, live0, slot0, w0, p, live1, slot1, w1, q, nodes):
+        """The best split of each of the depth's nodes, as (dim, cut) arrays
+        with dim -1 where a node has no valid split.
 
-    def _best_split(self, idx0, idx1):
-        k0 = self.keys0[idx0]
-        k1 = self.keys1[idx1]
-        lc0, n0 = self._row_counts(k0, self.counts0, idx0)
-        lc1, n1 = self._row_counts(k1, self.counts1, idx1)
+        live/slot are the live cells and their node's slot, w their masses,
+        and p/q the nodes' mass totals. The first (dim, cut) in row-major
+        order wins ties.
+        """
+        k0 = self._keys(self.keys0, self.kbuf0, live0, slot0, nodes)
+        k1 = self._keys(self.keys1, self.kbuf1, live1, slot1, nodes)
+        lc0, n0 = self._counts(k0, self.wbuf0, self.counts0, live0, slot0, nodes)
+        lc1, n1 = self._counts(k1, self.wbuf1, self.counts1, live1, slot1, nodes)
         rc0 = n0 - lc0
         rc1 = n1 - lc1
         valid = (
             (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
             & (lc0 + lc1 >= self.min_leaf_total)
             & (rc0 + rc1 >= self.min_leaf_total)
-        )
-        if not valid.any():
-            return None
-        w0 = self.m0[idx0]
-        w1 = self.m1[idx1]
-        lp = self._left_totals(k0, w0)
-        lq = self._left_totals(k1, w1)
+        ).reshape(nodes, -1)
+        found = valid.any(axis=1)
+        if not found.any():
+            return np.full(nodes, -1), np.full(nodes, -1)
+        lp = self._left_totals(k0, self._repeat(w0, self.wbuf0), nodes)
+        lq = self._left_totals(k1, self._repeat(w1, self.wbuf1), nodes)
+        p = p[:, None, None]
+        q = q[:, None, None]
         if self.gb:
             # residual sums: +mass on group 0, -mass on group 1
             lsum = lp - lq
-            r_tot = w0.sum() - w1.sum()
             with np.errstate(divide="ignore", invalid="ignore"):
-                score = -(lsum**2 / (lc0 + lc1) + (r_tot - lsum) ** 2 / (rc0 + rc1))
+                score = -(lsum**2 / (lc0 + lc1) + (p - q - lsum) ** 2 / (rc0 + rc1))
         else:
             # cumulative cancellation can leave tiny negative right masses
-            rp = np.maximum(w0.sum() - lp, 0.0)
-            rq = np.maximum(w1.sum() - lq, 0.0)
+            rp = np.maximum(p - lp, 0.0)
+            rq = np.maximum(q - lq, 0.0)
             score = np.sqrt(lp * lq) + np.sqrt(rp * rq)
-        # the first (dim, cut) in row-major order wins ties
-        best = int(np.argmin(np.where(valid, score, np.inf)))
-        return divmod(best, self.width - 1)
+        best = np.where(valid, score.reshape(nodes, -1), np.inf).argmin(axis=1)
+        dim, cut = np.divmod(best, self.width - 1)
+        dim[~found] = -1
+        return dim, cut
+
+    def _keys(self, keys, buf, live, slot, nodes):
+        """The live cells' histogram keys, offset by their node's slot, in
+        buf."""
+        # live indices are in range; mode "raise" would gather into a
+        # temporary first and copy it into buf
+        k = np.take(keys, live, axis=0, out=buf[:live.size], mode="clip")
+        if nodes > 1:  # every slot is 0 at the root
+            k += (slot * (k.shape[1] * self.width))[:, None]
+        return k
+
+    def _left_totals(self, keys, weights, nodes):
+        """(nodes, dims, cuts) array: the sum of weights (or the count) of
+        each node's cells routed left of each cut."""
+        d = keys.shape[1]
+        hist = np.bincount(keys.ravel(), weights=weights, minlength=nodes * d * self.width)
+        return np.cumsum(hist.reshape(nodes, d, self.width), axis=2)[:, :, :-1]
+
+    @staticmethod
+    def _repeat(w, buf):
+        """np.repeat(w, dims) in buf: each cell's weight once per dimension."""
+        out = buf[:w.size]
+        out[...] = w[:, None]
+        return out.ravel()
+
+    def _counts(self, keys, buf, counts, live, slot, nodes):
+        """The row counts left of each cut, and each node's row count, as
+        (nodes, 1, 1)."""
+        if counts is None:
+            return (self._left_totals(keys, None, nodes),
+                    np.bincount(slot, minlength=nodes)[:, None, None])
+        c = counts[live]
+        return (self._left_totals(keys, self._repeat(c, buf), nodes),
+                np.bincount(slot, weights=c, minlength=nodes)[:, None, None])
 
 
 def _cells(grid: CutGrid, X: np.ndarray):

@@ -163,13 +163,13 @@ def _apply_config_file(commands, argv):
 
 
 def _cmd_fit(args) -> int:
-    data = load_dataset(args.sample0, args.sample1)
-    grid = build_cut_grid(data, args.cuts_per_dim)
     config = boost.BoostConfig(
         algorithm=args.algo, max_trees=args.max_trees, max_depth=args.depth,
         learning_rate=args.nu, cv_folds=args.cv_folds,
         min_leaf_total=args.min_leaf_total, seed=args.seed,
     )
+    data = load_dataset(args.sample0, args.sample1)
+    grid = build_cut_grid(data, args.cuts_per_dim)
     model = boost.fit(data, grid, config, select=not args.no_cv)
     model.save(args.out)
     print(f"fit {args.algo} with {len(model.trees)} trees -> {args.out}")
@@ -323,6 +323,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("--threads must be >= 1")
     boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
                     learning_rate=args.nu, cv_folds=args.cv_folds)
+    boost.BoostConfig(**boost_kw)  # checked before any job runs
     bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,
                     draws=args.bayes_draws)
     rows = run_bench(scenarios, sizes, methods, args.replicates, args.seed,

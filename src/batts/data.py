@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +228,8 @@ def _check_nonconstant(data: TwoSampleDataset) -> None:
 
 def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = 31) -> CutGrid:
     """Equally spaced interior thresholds over the pooled per-dimension range."""
+    if not isinstance(count_per_dim, numbers.Integral):
+        raise DataError("count_per_dim must be an integer")
     if count_per_dim < 1:
         raise DataError("count_per_dim must be >= 1")
     pooled = data.pooled()

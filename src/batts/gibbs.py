@@ -542,5 +542,33 @@ def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):
         # matrix, such as the per-point one, row by row
         cells = np.repeat(cells, 2, axis=1)
     means = cells.mean(axis=0).take(draws.point_cell)
-    qs = np.quantile(cells, q, axis=0).T.take(draws.point_cell, axis=0)
+    qs = column_quantiles(cells, q).T.take(draws.point_cell, axis=0)
     return means, qs
+
+
+def column_quantiles(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(x, q, axis=0) of a 2-D x with its default linear method,
+    bit for bit, without the np.unique call that imports numpy.ma; x must
+    be free of NaN.
+
+    numpy's steps are repeated one by one: the same partition indices, so
+    that equal values (0.0 and -0.0) land alike, and the same
+    interpolation.
+    """
+    n = x.shape[0]
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    # past the last index numpy takes the last order statistic (-1) for both
+    top = virtual >= n - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    kth = np.sort(np.concatenate(([0, -1], below, above)))
+    kth = kth[np.concatenate(([True], kth[1:] != kth[:-1]))]
+    part = np.partition(x, kth, axis=0)
+    a, b = part[below], part[above]
+    gamma = (virtual - below)[:, None]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out

@@ -71,14 +71,19 @@ def _row_mean(e: np.ndarray, counts) -> float:
     return np.dot(counts, e) / counts.sum()
 
 
-def optimal_leaf_value(p_mass: float, q_mass: float) -> float:
-    """The beta minimizing p_mass*e^{-beta} + q_mass*e^{beta}.
+def optimal_leaf_value(p_mass, q_mass):
+    """The beta minimizing p_mass*e^{-beta} + q_mass*e^{beta}, elementwise
+    over arrays of leaf masses.
 
     Closed form: beta = (log p_mass - log q_mass) / 2.
     """
-    if p_mass <= 0 or q_mass <= 0:
+    p_mass = np.asarray(p_mass, dtype=np.float64)
+    q_mass = np.asarray(q_mass, dtype=np.float64)
+    bad = (p_mass <= 0) | (q_mass <= 0)
+    if bad.any():
         raise DegenerateLeafError(
-            f"degenerate leaf: masses must be positive, got ({p_mass}, {q_mass})"
+            f"degenerate leaf: masses must be positive, got ({p_mass[bad][0]}, "
+            f"{q_mass[bad][0]})"
         )
     return 0.5 * (np.log(p_mass) - np.log(q_mass))
 

@@ -354,7 +354,9 @@ class TestCriterion9PriorRecovery:
         bins = grid.bin_indices(data.pooled())
         prior = TreePrior()
         tree = SamplerTree(20, even=False)
-        ctx = MoveContext(bins, grid.cuts, 10, 20, 0.5, 10.0, prior,
+        # each row is its own cell, with 0/1 group counts
+        group0 = (np.arange(20) < 10).astype(float)
+        ctx = MoveContext(bins, grid.cuts, group0, 1.0 - group0, 0.5, 10.0, prior,
                           (1 / 3, 1 / 3, 1 / 3))  # tau starts at 0
         rng = np.random.default_rng(42)
         n_sweeps = 100_000

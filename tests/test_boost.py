@@ -38,6 +38,10 @@ class TestConfig:
             {"max_depth": 0},
             {"cv_folds": 1},
             {"min_leaf_total": 0},
+            {"max_trees": 10.0},
+            {"max_depth": 2.5},
+            {"cv_folds": 2.5},
+            {"min_leaf_total": 5.5},
         ],
     )
     def test_invalid(self, kwargs):
@@ -89,6 +93,21 @@ class TestSingleStepOracle:
         assert predict_log_ratio(model, x)[0] == pytest.approx(expected)
 
 
+def _level_search(grower, m0, m1, live0, slot0, live1, slot1, nodes):
+    """grower.search on one depth's live cells: each node's (dim, cut), or
+    None where the node has no valid split."""
+    w0, w1 = m0[live0], m1[live1]
+    dim, cut = grower.search(live0, slot0, w0, np.bincount(slot0, w0, nodes),
+                             live1, slot1, w1, np.bincount(slot1, w1, nodes), nodes)
+    return [None if d < 0 else (d, c) for d, c in zip(dim.tolist(), cut.tolist())]
+
+
+def _one_node_search(grower, m0, m1, idx0, idx1):
+    """The level search with one live node, holding cells idx0 and idx1."""
+    zero0, zero1 = np.zeros(idx0.size, np.intp), np.zeros(idx1.size, np.intp)
+    return _level_search(grower, m0, m1, idx0, zero0, idx1, zero1, 1)[0]
+
+
 class TestSplitSearch:
     @staticmethod
     def _brute_force(b0, b1, m0, m1, res0, res1, n_cuts, min_leaf):
@@ -134,8 +153,7 @@ class TestSplitSearch:
             res0 = m0 if gb else None
             res1 = -m1 if gb else None
             grower = _Grower(b0, b1, None, None, grid.cuts, 4, 5, "gb" if gb else "fs")
-            grower.m0, grower.m1 = m0, m1
-            got = grower._best_split(np.arange(n0), np.arange(n1))
+            got = _one_node_search(grower, m0, m1, np.arange(n0), np.arange(n1))
             want = self._brute_force(b0, b1, m0, m1, res0, res1, 7, 5)
             assert got == want
 
@@ -188,8 +206,7 @@ class TestSplitSearch:
             idx1 = np.sort(gen.choice(n1, size=n1 * 3 // 4, replace=False))
             grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), None, None, cuts,
                              4, 5, "gb" if gb else "fs")
-            grower.m0, grower.m1 = m0, m1
-            got = grower._best_split(idx0, idx1)
+            got = _one_node_search(grower, m0, m1, idx0, idx1)
             r0, r1 = (m0[idx0], -m1[idx1]) if gb else (None, None)
             want = self._oracle(s0[idx0], s1[idx1], cuts, m0[idx0], m1[idx1], r0, r1, 5)
             assert got == want
@@ -222,9 +239,10 @@ class TestSplitSearch:
                 grower = _Grower(cb0, cb1, np.bincount(inv0).astype(float),
                                  np.bincount(inv1).astype(float), grid.cuts, 4, min_leaf,
                                  "gb" if gb else "fs")
-                grower.m0 = np.bincount(inv0, weights=m0)
-                grower.m1 = np.bincount(inv1, weights=m1)
-                got = grower._best_split(np.arange(cb0.shape[0]), np.arange(cb1.shape[0]))
+                cm0 = np.bincount(inv0, weights=m0)
+                cm1 = np.bincount(inv1, weights=m1)
+                got = _one_node_search(grower, cm0, cm1, np.arange(cb0.shape[0]),
+                                       np.arange(cb1.shape[0]))
                 assert got == self._brute_force(b0, b1, m0, m1, res0, res1, 5, min_leaf)
 
                 cells0 = np.sort(rng.choice(cb0.shape[0], cb0.shape[0] * 3 // 4, replace=False))
@@ -234,7 +252,38 @@ class TestSplitSearch:
                 r0, r1 = (m0[rows0], -m1[rows1]) if gb else (None, None)
                 want = self._oracle(data.sample0[rows0], data.sample1[rows1], grid.cuts,
                                     m0[rows0], m1[rows1], r0, r1, min_leaf)
-                assert grower._best_split(cells0, cells1) == want
+                assert _one_node_search(grower, cm0, cm1, cells0, cells1) == want
+
+    @pytest.mark.parametrize("gb", [False, True])
+    def test_several_live_nodes_match_the_oracle(self, gb):
+        """One level search over four live nodes, made of random disjoint
+        row subsets with some rows in no node: each node's pick is the
+        oracle's on that node's rows alone, and node 3, whose three rows
+        cannot fill two children of min_leaf_total, has no valid split."""
+        gen = np.random.default_rng(23)
+        cuts = (np.linspace(-1.5, 1.5, 5), np.linspace(-2.0, 2.0, 11),
+                np.linspace(-1.0, 1.0, 3))
+        grid = CutGrid(cuts)
+        for _ in range(6):
+            n0, n1 = int(gen.integers(200, 300)), int(gen.integers(200, 300))
+            s0 = gen.standard_normal((n0, 3))
+            s1 = gen.standard_normal((n1, 3)) + [0.6, -0.4, 0.2]
+            m0 = gen.uniform(0.5, 2.0, n0) / n0
+            m1 = gen.uniform(0.5, 2.0, n1) / n1
+            # each row's node; -1 is a row of no live node
+            node0 = gen.integers(-1, 3, n0)
+            node1 = gen.integers(-1, 3, n1)
+            node0[:2] = node1[0] = 3
+            live0, live1 = np.flatnonzero(node0 >= 0), np.flatnonzero(node1 >= 0)
+            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), None, None, cuts,
+                             4, 5, "gb" if gb else "fs")
+            got = _level_search(grower, m0, m1, live0, node0[live0], live1, node1[live1], 4)
+            for node in range(3):
+                r0, r1 = node0 == node, node1 == node
+                res = (m0[r0], -m1[r1]) if gb else (None, None)
+                assert got[node] == self._oracle(s0[r0], s1[r1], cuts, m0[r0], m1[r1],
+                                                 *res, 5)
+            assert got[3] is None
 
     def test_every_cut_of_a_long_grid_is_searched(self):
         """On a 1-D grid of 40 cuts, the best root split is past the 31st cut
@@ -439,6 +488,97 @@ class TestCellFit:
         once = _fit_boost(data, grid, config, 30)
         self._assert_same_fit(once.trees, once.offset, once.train_loss_path,
                               _fit_boost(twice, grid, config, 30))
+
+
+class TestLevelGrowth:
+    """The grower works one depth at a time; it must grow the trees that a
+    depth-first grower, splitting one node at a time, grows."""
+
+    @staticmethod
+    def _grow_depth_first(keys0, keys1, counts0, counts1, m0, m1, cuts, config):
+        """Depth-first reference grower on cells: each node's histograms come
+        from its own cells, and its left subtree is grown before its right."""
+        d, width = len(cuts), max(len(c) for c in cuts) + 1
+        feature, right, value = [], [], []
+        contrib0, contrib1 = np.empty(m0.size), np.empty(m1.size)
+
+        def left_totals(keys, w):
+            hist = np.bincount(keys.ravel(), weights=np.repeat(w, d), minlength=d * width)
+            return np.cumsum(hist.reshape(d, width), axis=1)[:, :-1]
+
+        def best_split(i0, i1):
+            lc0, lc1 = left_totals(keys0[i0], counts0[i0]), left_totals(keys1[i1], counts1[i1])
+            rc0, rc1 = counts0[i0].sum() - lc0, counts1[i1].sum() - lc1
+            valid = ((np.minimum(np.minimum(lc0, lc1), np.minimum(rc0, rc1)) >= 1)
+                     & (lc0 + lc1 >= config.min_leaf_total)
+                     & (rc0 + rc1 >= config.min_leaf_total))
+            if not valid.any():
+                return None
+            lp, lq = left_totals(keys0[i0], m0[i0]), left_totals(keys1[i1], m1[i1])
+            p, q = m0[i0].sum(), m1[i1].sum()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if config.algorithm == "gb":
+                    score = -((lp - lq) ** 2 / (lc0 + lc1)
+                              + (p - q - lp + lq) ** 2 / (rc0 + rc1))
+                else:
+                    score = (np.sqrt(lp * lq)
+                             + np.sqrt(np.maximum(p - lp, 0) * np.maximum(q - lq, 0)))
+            return divmod(int(np.argmin(np.where(valid, score, np.inf))), width - 1)
+
+        def grow(i0, i1, depth):
+            at = len(feature)
+            right.append(-1)
+            best = best_split(i0, i1) if depth < config.max_depth else None
+            if best is None:
+                beta = optimal_leaf_value(m0[i0].sum(), m1[i1].sum())
+                contrib0[i0], contrib1[i1] = beta, beta
+                feature.append(-1)
+                value.append(beta)
+                return
+            dim, j = best
+            feature.append(dim)
+            value.append(cuts[dim][j])
+            go0, go1 = keys0[i0, dim] <= dim * width + j, keys1[i1, dim] <= dim * width + j
+            grow(i0[go0], i1[go1], depth + 1)
+            right[at] = len(feature)
+            grow(i0[~go0], i1[~go1], depth + 1)
+
+        grow(np.arange(m0.size), np.arange(m1.size), 0)
+        return feature, right, value, contrib0, contrib1
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    @pytest.mark.parametrize("min_leaf", [5, 60])
+    def test_matches_depth_first_growth(self, algo, min_leaf, shifted_2d):
+        """20 trees of _fit_boost against the boosting loop with the
+        depth-first grower: equal split structure and thresholds, betas
+        within 1e-12. With min_leaf_total 60 some nodes above max_depth
+        have no valid split and become leaves."""
+        data, grid = shifted_2d
+        config = BoostConfig(algorithm=algo, max_trees=20, min_leaf_total=min_leaf)
+        model = _fit_boost(data, grid, config, 20)
+        cells0, _, inv0 = grid.cells(grid.bin_indices(data.sample0))
+        cells1, _, inv1 = grid.cells(grid.bin_indices(data.sample1))
+        counts0, counts1 = np.bincount(inv0).astype(float), np.bincount(inv1).astype(float)
+        width = max(len(c) for c in grid.cuts) + 1
+        offsets = np.arange(grid.dim) * width
+        logw0, logw1 = np.zeros(counts0.size), np.zeros(counts1.size)
+        early_leaves = 0
+        for got in model.trees:
+            m0, m1 = row_masses(logw0, logw1, counts0, counts1)
+            feature, right, value, c0, c1 = self._grow_depth_first(
+                cells0 + offsets, cells1 + offsets, counts0, counts1, m0, m1, grid.cuts, config)
+            np.testing.assert_array_equal(got.feature, feature)
+            np.testing.assert_array_equal(got.right, right)
+            np.testing.assert_allclose(got.value, value, rtol=0, atol=1e-12)
+            early_leaves += got.n_leaves() < 2 ** config.max_depth
+            logw0 += config.learning_rate * c0
+            logw1 += config.learning_rate * c1
+            log_c, _ = rebalance(logw0, logw1, counts0, counts1)
+            logw0 += log_c
+            logw1 += log_c
+        assert counts0.max() > 1 and counts1.max() > 1
+        if min_leaf == 60:
+            assert early_leaves == 20
 
 
 class TestCrossValidation:

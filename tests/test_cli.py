@@ -205,6 +205,20 @@ class TestBench:
         assert capsys.readouterr().err == "error: --replicates must be >= 1\n"
         assert not out.exists()
 
+    def test_fractional_depth_rejected_before_jobs(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench was entered")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"depth": 2.5}')
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "fs", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: max_depth must be an integer\n"
+        assert not out.exists()
+
     def test_bayes_draws_below_one_rejected(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("run_bench was entered")
@@ -275,16 +289,19 @@ class TestLeanImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_a_2d_sampler_run_skips_numpy_ma(self):
-        """The sampler's cell map does without np.unique too."""
+        """The sampler's cell map does without np.unique too, and so do the
+        quantiles of summarize."""
         code = (
             "import sys\n"
             "from batts import GibbsConfig, build_cut_grid, generate, make_scenario\n"
-            "from batts import run_sampler\n"
+            "from batts import run_sampler, summarize\n"
             "data = generate(make_scenario('GlobalShift2D', seed=0), 200, 200, seed=0)\n"
             "draws = run_sampler(data, build_cut_grid(data, 31),\n"
             "                    GibbsConfig(n_trees=10, burn_in=5, draws=5),\n"
             "                    eval_points=[[0.0, 0.0], [50.0, 50.0]])\n"
             "assert draws.cell_draws.shape == (5, 2)\n"
+            "means, qs = summarize(draws, (0.025, 0.5, 0.975))\n"
+            "assert qs.shape == (2, 3)\n"
             "assert 'numpy.ma' not in sys.modules\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -387,6 +404,30 @@ class TestConfigAndErrors:
         ])
         assert code == 0
         assert "4 trees" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg, err", [
+        ('{"depth": 2.5}', "error: max_depth must be an integer\n"),
+        ('{"max_trees": 10.0}', "error: max_trees must be an integer\n"),
+        ('{"cv_folds": 2.5}', "error: cv_folds must be an integer\n"),
+        ('{"min_leaf_total": 5.5}', "error: min_leaf_total must be an integer\n"),
+        ('{"cuts_per_dim": 2.5}', "error: count_per_dim must be an integer\n"),
+    ])
+    def test_fractional_setting_is_one_line_error_before_fitting(self, tmp_path, capsys,
+                                                                  monkeypatch, cfg, err):
+        s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        model = tmp_path / "model.json"
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(cli.boost, "fit", no_fit)
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--config", str(path), "--out", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err == err
+        assert not model.exists()
 
     def test_config_equals_form_matches_separate_form(self, tmp_path, capsys):
         s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)

@@ -24,6 +24,7 @@ from batts.gibbs import (
     _grow_factor,
     _resample_betas,
     _verify_state,
+    column_quantiles,
     integrated_leaf_loglik,
     leaf_full_conditional,
     mh_tree_move,
@@ -491,6 +492,28 @@ class TestSummarize:
                               np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             summarize(full, quantiles=(0.0, 0.5))
+
+
+class TestColumnQuantiles:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (9, 1), (2, 3), (37, 13), (1000, 40)])
+    def test_bit_equal_to_np_quantile(self, shape):
+        """Against np.quantile(x, q, axis=0) on one draw, one cell and wider
+        matrices, at q = 0 and 1, next to them and in between; with mixed
+        magnitudes, and with ties that mix 0.0 and -0.0, which only the same
+        partition places alike. Compared as bits, so the sign of zero counts."""
+        gen = np.random.default_rng(41)
+        levels = [np.array([0.0, 1.0]), np.array([0.025, 0.975]), np.array([0.5]),
+                  gen.uniform(0.0, 1.0, 7), np.array([1.0 - 2.0**-53, 2.0**-60])]
+        for trial in range(12):
+            if trial % 2:
+                x = np.round(gen.standard_normal(shape), 1)
+            else:
+                x = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 8, shape)
+            for q in levels:
+                got = column_quantiles(x, q)
+                want = np.quantile(x, q, axis=0)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _cell_sample(gen, n0=150, n1=90, bins_per_dim=4):

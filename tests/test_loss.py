@@ -1,6 +1,8 @@
 """Balancing-loss oracles: loss value, gradients, optimal leaf weights,
 rebalancing, and the affinity split score, all on log-weights."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ class TestOptimalLeafValue:
             optimal_leaf_value(0.0, 1.0)
         with pytest.raises(DegenerateLeafError):
             optimal_leaf_value(1.0, -0.5)
+
+    def test_arrays_elementwise(self, rng):
+        """Arrays of leaf masses give each leaf's scalar answer exactly, and
+        one degenerate leaf among them is named in the error."""
+        p, q = rng.uniform(0.01, 5.0, 9), rng.uniform(0.01, 5.0, 9)
+        np.testing.assert_array_equal(optimal_leaf_value(p, q),
+                                      [optimal_leaf_value(a, b) for a, b in zip(p, q)])
+        q[4] = 0.0
+        with pytest.raises(DegenerateLeafError, match=re.escape(f"got ({float(p[4])!r}, 0.0)")):
+            optimal_leaf_value(p, q)
 
 
 class TestRebalanceConstant:

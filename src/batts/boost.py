@@ -28,21 +28,17 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_trees", "max_depth", "cv_folds", "min_leaf_total"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+        lows = {"max_trees": 1, "max_depth": 1, "cv_folds": 2, "min_leaf_total": 1, "seed": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.algorithm not in ("fs", "gb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-        if self.max_trees < 1:
-            raise ValueError("max_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
-        if self.min_leaf_total < 1:
-            raise ValueError("min_leaf_total must be >= 1")
 
 
 class EnsembleModel:
@@ -194,22 +190,28 @@ class _Grower:
     def grow(self, m0, m1):
         """Returns (tree, contrib0, contrib1) with per-cell leaf betas.
 
-        m0/m1 are the per-cell masses of loss.row_masses.
+        m0/m1 are the per-cell masses of loss.row_masses. They may cover
+        only a prefix of the cells: the cells past it are routed to their
+        leaves, but left out of every histogram. The live cells stay in
+        ascending order, so each depth's cells with masses are a prefix of
+        its live cells.
         """
-        contrib0 = np.empty(m0.size)
-        contrib1 = np.empty(m1.size)
-        live0, live1 = np.arange(m0.size), np.arange(m1.size)
-        slot0, slot1 = np.zeros(m0.size, np.intp), np.zeros(m1.size, np.intp)
+        n0, n1 = self.keys0.shape[0], self.keys1.shape[0]
+        contrib0, contrib1 = np.empty(n0), np.empty(n1)
+        live0, live1 = np.arange(n0), np.arange(n1)
+        slot0, slot1 = np.zeros(n0, np.intp), np.zeros(n1, np.intp)
         # the nodes in breadth-first order: split dimension (-1 at a leaf),
         # threshold or beta, and the first of the two children
         feature, value, child = [], [], []
         nodes = 1
         for depth in range(self.max_depth + 1):
-            w0, w1 = m0[live0], m1[live1]
-            p = np.bincount(slot0, weights=w0, minlength=nodes)
-            q = np.bincount(slot1, weights=w1, minlength=nodes)
+            h0, h1 = live0.searchsorted(m0.size), live1.searchsorted(m1.size)
+            w0, w1 = m0[live0[:h0]], m1[live1[:h1]]
+            p = np.bincount(slot0[:h0], weights=w0, minlength=nodes)
+            q = np.bincount(slot1[:h1], weights=w1, minlength=nodes)
             if depth < self.max_depth:
-                dim, cut = self.search(live0, slot0, w0, p, live1, slot1, w1, q, nodes)
+                dim, cut = self.search(live0[:h0], slot0[:h0], w0, p,
+                                       live1[:h1], slot1[:h1], w1, q, nodes)
             else:
                 dim = cut = np.full(nodes, -1)
             leaf = dim < 0
@@ -343,92 +345,97 @@ class _Grower:
 
 
 def _cells(grid: CutGrid, X: np.ndarray):
-    """The occupied cells of X's rows: (cell bins, row counts), with counts
-    None where every cell holds one row."""
+    """The occupied cells of X's rows: (cell bins, each row's cell, row counts)."""
     cell_bins, _, inverse = grid.cells(grid.bin_indices(X))
-    if cell_bins.shape[0] == X.shape[0]:
-        return cell_bins, None
-    return cell_bins, np.bincount(inverse).astype(np.float64)
+    return cell_bins, inverse, np.bincount(inverse).astype(np.float64)
+
+
+def _unit(counts):
+    """counts, or None where every cell holds one row (see _Grower)."""
+    return None if (counts == 1).all() else counts
+
+
+def _boost(bins0, counts0, bins1, counts1, cuts, config: BoostConfig, n_trees: int):
+    """Yields (tree, log_c, loss, logw0, logw1) after each of n_trees trees.
+
+    Each tree's shrunken update is followed by the rebalance shift log_c;
+    the training loss must never increase. Each group keeps one log w per
+    cell, updated in place, and the cells' training row counts weight it in
+    the masses and the rebalance (see loss.row_masses). Cells with no
+    training rows, which must come last, get a log w from their leaves but
+    weigh nothing in the fit.
+    """
+    n0, n1 = np.count_nonzero(counts0), np.count_nonzero(counts1)
+    c0, c1 = _unit(counts0[:n0]), _unit(counts1[:n1])
+    grower = _Grower(bins0, bins1, c0, c1, cuts, config.max_depth,
+                     config.min_leaf_total, config.algorithm)
+    logw0, logw1 = np.zeros(bins0.shape[0]), np.zeros(bins1.shape[0])
+    train0, train1 = logw0[:n0], logw1[:n1]
+    nu = config.learning_rate
+    last = 2.0
+    for _ in range(n_trees):
+        tree, f0, f1 = grower.grow(*row_masses(train0, train1, c0, c1))
+        logw0 += nu * f0
+        logw1 += nu * f1
+        log_c, loss = rebalance(train0, train1, c0, c1)
+        logw0 += log_c
+        logw1 += log_c
+        check_log_weights(train0, train1)
+        if loss > last + _LOSS_SLACK:
+            raise AssertionError(f"training loss increased: {last!r} -> {loss!r}")
+        last = loss
+        yield tree, log_c, loss, logw0, logw1
 
 
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
-               n_trees: int, on_iteration=None) -> EnsembleModel:
-    """Each tree's shrunken update is followed by the rebalance shift, which
-    the offset accumulates; the training loss must never increase.
-
-    Each group keeps one log w per occupied cell, and the cell's row count
-    weights it in the masses and the rebalance (see loss.row_masses)."""
-    bins0, counts0 = _cells(grid, data.sample0)
-    bins1, counts1 = _cells(grid, data.sample1)
-    grower = _Grower(bins0, bins1, counts0, counts1, grid.cuts, config.max_depth,
-                     config.min_leaf_total, config.algorithm)
-    logw0 = np.zeros(bins0.shape[0])
-    logw1 = np.zeros(bins1.shape[0])
-    nu = config.learning_rate
-    trees = []
-    offset = 0.0
-    losses = [2.0]
-    for _ in range(n_trees):
-        tree, c0, c1 = grower.grow(*row_masses(logw0, logw1, counts0, counts1))
-        logw0 += nu * c0
-        logw1 += nu * c1
-        log_c, loss = rebalance(logw0, logw1, counts0, counts1)
-        logw0 += log_c
-        logw1 += log_c
-        check_log_weights(logw0, logw1)
-        if loss > losses[-1] + _LOSS_SLACK:
-            raise AssertionError(f"training loss increased: {losses[-1]!r} -> {loss!r}")
+               n_trees: int) -> EnsembleModel:
+    """n_trees trees of _boost on the full sample's cells; the offset
+    accumulates the rebalance shifts."""
+    bins0, _, counts0 = _cells(grid, data.sample0)
+    bins1, _, counts1 = _cells(grid, data.sample1)
+    trees, offset, losses = [], 0.0, [2.0]
+    for tree, log_c, loss, _, _ in _boost(bins0, counts0, bins1, counts1, grid.cuts,
+                                          config, n_trees):
+        trees.append(tree)
         offset += log_c
         losses.append(loss)
-        trees.append(tree)
-        if on_iteration is not None:
-            on_iteration(tree, log_c)
-    return EnsembleModel(
-        trees=trees,
-        learning_rate=nu,
-        offset=offset,
-        algorithm=config.algorithm,
-        dim=data.dim,
-        seed=config.seed,
-        train_loss_path=np.asarray(losses),
-    )
+    return EnsembleModel(trees, learning_rate=config.learning_rate, offset=offset,
+                         algorithm=config.algorithm, dim=data.dim, seed=config.seed,
+                         train_loss_path=np.asarray(losses))
+
+
+def _fold(bins, inverse, counts, held_rows):
+    """A fold's (cell bins, training counts, held-out counts) on the full
+    sample's cells, reordered stably so that the cells with training rows
+    come first."""
+    held = np.bincount(inverse[held_rows], minlength=counts.size).astype(np.float64)
+    order = np.argsort(held == counts, kind="stable")
+    return bins[order], (counts - held)[order], held[order]
 
 
 def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
                   config: BoostConfig) -> np.ndarray:
     """Fold-averaged held-out loss after 0..max_trees trees.
 
-    Held-out rows are tracked row by row, but each tree is evaluated once
-    per occupied held-out cell, at the cell's first row."""
+    Each group is mapped to its cells once. A fold is boosted on the cells'
+    training counts, the full counts minus its held-out counts; its cells
+    without training rows are routed through its trees too, so every cell
+    has the fold's log w, and the held-out loss weights it by the cells'
+    held-out counts."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
     folds0 = np.array_split(rng.permutation(data.n0), config.cv_folds)
     folds1 = np.array_split(rng.permutation(data.n1), config.cv_folds)
-    curves = np.zeros((config.cv_folds, config.max_trees + 1))
+    bins0, inverse0, counts0 = _cells(grid, data.sample0)
+    bins1, inverse1, counts1 = _cells(grid, data.sample1)
+    curves = np.full((config.cv_folds, config.max_trees + 1), 2.0)
     for f in range(config.cv_folds):
-        ho0 = np.zeros(data.n0, dtype=bool)
-        ho0[folds0[f]] = True
-        ho1 = np.zeros(data.n1, dtype=bool)
-        ho1[folds1[f]] = True
-        train = TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1])
-        held_out = np.vstack([data.sample0[ho0], data.sample1[ho1]])
-        _, first, inverse = grid.cells(grid.bin_indices(held_out))
-        firsts = held_out[first]
-        cell0 = inverse[:folds0[f].size]
-        cell1 = inverse[folds0[f].size:]
-        h_logw0 = np.zeros(cell0.size)
-        h_logw1 = np.zeros(cell1.size)
-        losses = [2.0]
-
-        def track(tree, log_c):
-            step = config.learning_rate * tree.evaluate_many(firsts) + log_c
-            np.add(h_logw0, step[cell0], out=h_logw0)
-            np.add(h_logw1, step[cell1], out=h_logw1)
-            losses.append(finite_sample_loss(h_logw0, h_logw1))
-
-        _fit_boost(train, grid, config, config.max_trees, on_iteration=track)
-        curves[f] = losses
+        b0, train0, held0 = _fold(bins0, inverse0, counts0, folds0[f])
+        b1, train1, held1 = _fold(bins1, inverse1, counts1, folds1[f])
+        steps = _boost(b0, train0, b1, train1, grid.cuts, config, config.max_trees)
+        for k, (_, _, _, logw0, logw1) in enumerate(steps, start=1):
+            curves[f, k] = finite_sample_loss(logw0, logw1, held0, held1)
     return curves.mean(axis=0)
 
 

@@ -141,7 +141,8 @@ class CutGrid:
         return bins[first], first, inverse
 
 
-def _read_matrix(path) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
+    """Read a headerless numeric CSV into an n x d array."""
     rows = []
     width = None
     with open(path, "r") as fh:
@@ -179,11 +180,6 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a headerless numeric CSV into an n x d array."""
-    return _read_matrix(path)
-
-
 def save_matrix(path, a: np.ndarray) -> None:
     """Write a matrix as headerless CSV with round-trip-exact floats."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -194,8 +190,8 @@ def save_matrix(path, a: np.ndarray) -> None:
 
 def load_dataset(path0, path1) -> TwoSampleDataset:
     """Load the two groups from separate headerless CSV files."""
-    s0 = _read_matrix(path0)
-    s1 = _read_matrix(path1)
+    s0 = load_matrix(path0)
+    s1 = load_matrix(path1)
     if s0.shape[1] != s1.shape[1]:
         raise DataError(
             f"dimension mismatch: {path0} has {s0.shape[1]} columns, "
@@ -208,7 +204,7 @@ def load_dataset(path0, path1) -> TwoSampleDataset:
 
 def load_labeled_dataset(path) -> TwoSampleDataset:
     """Load both groups from one CSV whose trailing column is a 0/1 label."""
-    a = _read_matrix(path)
+    a = load_matrix(path)
     if a.shape[1] < 2:
         raise DataError("labeled input needs at least one feature column plus the label")
     labels = a[:, -1]

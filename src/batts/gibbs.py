@@ -32,7 +32,7 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "burn_in", "draws"):
+        for name in ("n_trees", "burn_in", "draws", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.n_trees < 2 or self.n_trees % 2 != 0:
@@ -47,6 +47,8 @@ class GibbsConfig:
             raise ValueError("move_probs must be three nonnegative values summing to 1")
         if self.burn_in < 0 or self.draws < 0:
             raise ValueError("burn_in and draws must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.tree_prior()  # TreePrior validates a_T and b_T
 
     @property
@@ -212,9 +214,6 @@ class SamplerTree:
 
     def n_leaves(self) -> int:
         return self.betas.size
-
-    def max_depth(self) -> int:
-        return max(self.depth)
 
     def decision_tree(self, dim: int) -> DecisionTree:
         """The tree with its current leaf betas, in DecisionTree form."""
@@ -406,7 +405,6 @@ class PosteriorDraws:
     point_cell: np.ndarray  # int32: each evaluation point's column of cell_draws
     tau_draws: np.ndarray
     mean_leaves: np.ndarray
-    mean_depth: np.ndarray
     move_attempts: np.ndarray  # sweeps x 3 (grow, prune, change)
     move_accepts: np.ndarray
 
@@ -474,7 +472,6 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     cell_draws = np.empty((config.draws, eval_cells.size))
     tau_draws = np.empty(config.draws)
     mean_leaves = np.empty(config.draws)
-    mean_depth = np.empty(config.draws)
     attempts = np.zeros((total, 3), dtype=np.int64)
     accepts = np.zeros((total, 3), dtype=np.int64)
     for sweep in range(total):
@@ -500,9 +497,7 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
             cell_draws[d] = 2.0 * logw.take(eval_cells)
             tau_draws[d] = tau
             mean_leaves[d] = np.mean([t.n_leaves() for t in trees])
-            mean_depth[d] = np.mean([t.max_depth() for t in trees])
-    return PosteriorDraws(cell_draws, point_cell, tau_draws, mean_leaves, mean_depth,
-                          attempts, accepts)
+    return PosteriorDraws(cell_draws, point_cell, tau_draws, mean_leaves, attempts, accepts)
 
 
 def _verify_state(trees, X, logw, inverse, tol=1e-8) -> None:

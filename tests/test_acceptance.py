@@ -29,7 +29,7 @@ from batts import (
     symmetrized_mse,
     true_log_ratio,
 )
-from batts.boost import _fit_boost
+from batts.boost import _boost, _cells, _fit_boost
 from batts.gibbs import (
     MoveContext,
     SamplerTree,
@@ -112,12 +112,12 @@ def _gb_bench(n0, n1, replicates=5, base_seed=0, floors=False):
         if floors:
             logw = np.zeros(points.shape[0])
             path = [symmetrized_mse(truth, 2 * logw, n0, n1)]
-
-            def track(tree, log_c):
+            bins0, _, counts0 = _cells(grid, data.sample0)
+            bins1, _, counts1 = _cells(grid, data.sample1)
+            for tree, log_c, *_ in _boost(bins0, counts0, bins1, counts1, grid.cuts,
+                                          config, config.max_trees):
                 logw[:] += config.learning_rate * tree.evaluate_many(points) + log_c
                 path.append(symmetrized_mse(truth, 2 * logw, n0, n1))
-
-            _fit_boost(data, grid, config, config.max_trees, on_iteration=track)
             row += [min(path), _textbook_boost_floor(data, truth, config)]
         rows.append(row)
     return np.mean(rows, axis=0)
@@ -363,7 +363,7 @@ class TestCriterion9PriorRecovery:
         depth = np.empty(n_sweeps, dtype=np.int64)
         for s in range(n_sweeps):
             mh_tree_move(tree, ctx, rng)
-            depth[s] = tree.max_depth()
+            depth[s] = max(tree.depth)
         assert abs(np.mean(depth > 0) - 0.95) < 0.01
         ref_gen = np.random.default_rng(7)
         ref = np.array([

@@ -1,0 +1,52 @@
+"""The binding sites that the benchmark's tracer wraps (bench/tracing.py).
+
+The tracer replaces batts functions at the names their callers look them up
+by, so renaming or re-importing one of them breaks the benchmark. These
+checks load bench/tracing.py without writing anything under bench/.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+import batts
+import batts.cli  # noqa: F401  (a traced site)
+from batts import BoostConfig, build_cut_grid, fit, generate, make_scenario
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(BENCH, "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_site_resolves(tracing):
+    for _, _, owner, attr in tracing.SITES:
+        obj = batts
+        for part in owner.split("."):
+            obj = getattr(obj, part)
+        assert attr in vars(obj), f"{owner}.{attr}"
+
+
+def test_one_boost_log_weight_check_per_grown_tree(tracing):
+    """boost.tree_ms times the gaps between the boost-side check_log_weights
+    calls, so a fit with selection makes one per tree of every fold and of
+    the refit."""
+    data = generate(make_scenario("GlobalShift2D"), 150, 150, seed=1)
+    grid = build_cut_grid(data, 15)
+    config = BoostConfig(max_trees=8, cv_folds=3, seed=1)
+    tracer = tracing.Tracer(batts)
+    model = tracer.run(lambda: fit(data, grid, config, select=True))
+    checks = tracer.starts("loss.check_log_weights", "boost")
+    assert checks.size == config.cv_folds * config.max_trees + len(model.trees)

@@ -9,13 +9,16 @@ import pytest
 
 from batts import (
     BoostConfig,
+    DecisionTree,
     EnsembleModel,
     TwoSampleDataset,
     build_cut_grid,
     fit,
+    generate,
+    make_scenario,
     predict_log_ratio,
 )
-from batts.boost import _Grower, _fit_boost, cv_loss_curve
+from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, cv_loss_curve
 from batts.data import CutGrid
 from batts.loss import (finite_sample_loss, hellinger_split_score, optimal_leaf_value,
                         rebalance, row_masses)
@@ -42,6 +45,8 @@ class TestConfig:
             {"max_depth": 2.5},
             {"cv_folds": 2.5},
             {"min_leaf_total": 5.5},
+            {"seed": 2.5},
+            {"seed": -1},
         ],
     )
     def test_invalid(self, kwargs):
@@ -606,8 +611,10 @@ class TestCrossValidation:
         assert len(model.trees) == np.argmin(cv_loss_curve(data, grid, config))
 
     def test_curve_equals_row_by_row_held_out_curve(self, shifted_2d):
-        """cv_loss_curve evaluates each tree once per held-out cell; the
-        curve is bit-equal to one that routes every held-out row."""
+        """Each fold refit on its own rows, with every training and held-out
+        row routed through each tree and the rebalance shift taken over the
+        training rows: the curve agrees within 1e-12, since the shared cell
+        map of cv_loss_curve reorders float sums."""
         data, grid = shifted_2d
         config = BoostConfig(algorithm="gb", max_trees=25, cv_folds=3, seed=4)
         nu = config.learning_rate
@@ -621,19 +628,97 @@ class TestCrossValidation:
             X0h, X1h = data.sample0[ho0], data.sample1[ho1]
             held = np.vstack([X0h, X1h])
             assert grid.cells(grid.bin_indices(held))[0].shape[0] < held.shape[0]
+            train = TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1])
+            t0, t1 = np.zeros(train.n0), np.zeros(train.n1)
             h0, h1 = np.zeros(X0h.shape[0]), np.zeros(X1h.shape[0])
             curve = [2.0]
-
-            def track(tree, log_c):
-                h0[:] = h0 + (nu * tree.evaluate_many(X0h) + log_c)
-                h1[:] = h1 + (nu * tree.evaluate_many(X1h) + log_c)
+            for tree in _fit_boost(train, grid, config, 25).trees:
+                t0 += nu * tree.evaluate_many(train.sample0)
+                t1 += nu * tree.evaluate_many(train.sample1)
+                log_c, _ = rebalance(t0, t1)
+                t0 += log_c
+                t1 += log_c
+                h0 += nu * tree.evaluate_many(X0h) + log_c
+                h1 += nu * tree.evaluate_many(X1h) + log_c
                 curve.append(finite_sample_loss(h0, h1))
-
-            train = TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1])
-            _fit_boost(train, grid, config, 25, on_iteration=track)
             curves.append(curve)
-        np.testing.assert_array_equal(cv_loss_curve(data, grid, config),
-                                      np.array(curves).mean(axis=0))
+        np.testing.assert_allclose(cv_loss_curve(data, grid, config),
+                                   np.array(curves).mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_bins_each_group_once_and_routes_no_rows(self, shifted_2d, monkeypatch):
+        """The folds share one cell map of each group, and the held-out
+        loss needs no routing of held-out rows."""
+        data, grid = shifted_2d
+        calls = []
+        for owner, name in ((CutGrid, "bin_indices"), (DecisionTree, "evaluate_many")):
+            def counted(*args, _raw=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _raw(*args)
+            monkeypatch.setattr(owner, name, counted)
+        cv_loss_curve(data, grid, BoostConfig(max_trees=5, cv_folds=3))
+        assert calls == ["bin_indices", "bin_indices"]
+
+    @staticmethod
+    def _fold_runs(data, grid, config):
+        """Per fold: the held-out row masks, and _boost on the fold's cells
+        of the full sample's cell map, as cv_loss_curve runs it."""
+        gen = np.random.default_rng(config.seed)
+        folds0 = np.array_split(gen.permutation(data.n0), config.cv_folds)
+        folds1 = np.array_split(gen.permutation(data.n1), config.cv_folds)
+        bins0, inverse0, counts0 = _cells(grid, data.sample0)
+        bins1, inverse1, counts1 = _cells(grid, data.sample1)
+        for f in range(config.cv_folds):
+            b0, train0, _ = _fold(bins0, inverse0, counts0, folds0[f])
+            b1, train1, _ = _fold(bins1, inverse1, counts1, folds1[f])
+            ho0 = np.isin(np.arange(data.n0), folds0[f])
+            ho1 = np.isin(np.arange(data.n1), folds1[f])
+            yield ho0, ho1, (b0, train0, b1, train1), _boost(
+                b0, train0, b1, train1, grid.cuts, config, config.max_trees)
+
+    def test_20d_folds_equal_fits_on_their_own_rows(self):
+        """In 20-D every row is its own cell, so a fold on the shared cell
+        map grows, bit for bit, the trees of _fit_boost on the fold's own
+        rows."""
+        data = generate(make_scenario("LatentLocation20D"), 600, 400, seed=3)
+        grid = build_cut_grid(data, 31)
+        config = BoostConfig(algorithm="gb", max_trees=20, seed=3)
+        for ho0, ho1, _, steps in self._fold_runs(data, grid, config):
+            own = _fit_boost(TwoSampleDataset(data.sample0[~ho0], data.sample1[~ho1]),
+                             grid, config, config.max_trees)
+            offset = 0.0
+            for (tree, log_c, *_), want in zip(steps, own.trees, strict=True):
+                np.testing.assert_array_equal(tree.feature, want.feature)
+                np.testing.assert_array_equal(tree.right, want.right)
+                np.testing.assert_array_equal(tree.value, want.value)
+                offset += log_c
+            assert offset == own.offset
+
+    def test_cells_without_training_rows_get_the_routed_leaf_values(self):
+        """Fold 0 of GlobalShift2D 600/400, seed 3, has held-out cells with
+        no training rows. Their log w is built from exactly the leaf values
+        that evaluate_many gives their first rows."""
+        data = generate(make_scenario("GlobalShift2D"), 600, 400, seed=3)
+        grid = build_cut_grid(data, 31)
+        config = BoostConfig(algorithm="gb", max_trees=20, seed=3)
+        ho0, ho1, fold, steps = next(self._fold_runs(data, grid, config))
+        lone = 0
+        firsts = []
+        for X, ho, bins, train in ((data.sample0, ho0, fold[0], fold[1]),
+                                   (data.sample1, ho1, fold[2], fold[3])):
+            cell_bins, first, inverse = grid.cells(grid.bin_indices(X))
+            only_held = np.flatnonzero(np.bincount(inverse[~ho],
+                                                   minlength=first.size) == 0)
+            n = np.count_nonzero(train)
+            np.testing.assert_array_equal(bins[n:], cell_bins[only_held])
+            firsts.append((n, X[first[only_held]]))
+            lone += only_held.size
+        assert lone > 0
+        want = [np.zeros(X.shape[0]) for _, X in firsts]
+        for tree, log_c, _, *logw in steps:
+            for (n, X), w, got in zip(firsts, want, logw):
+                w += config.learning_rate * tree.evaluate_many(X)
+                w += log_c
+                np.testing.assert_array_equal(got[n:], w)
 
     def test_too_few_observations_for_folds(self):
         data = TwoSampleDataset(np.array([[0.0], [1.0]]),

@@ -74,6 +74,21 @@ class TestFitPredictEvaluate:
         assert 1 <= n <= 30
 
 
+class TestDeterminism:
+    """README: identical configuration and seed give byte-identical outputs."""
+
+    def test_fit_with_cv_and_bayes_repeat_byte_for_byte(self, tmp_path):
+        s0, s1, _ = _simulate(tmp_path, n0=200, n1=200)
+        data = ["--sample0", str(s0), "--sample1", str(s1)]
+        runs = {"fit": ["fit", *data, "--max-trees", "20", "--cv-folds", "3"],
+                "bayes": ["bayes", *data, "--trees", "10", "--burnin", "10", "--draws", "10"]}
+        for name, argv in runs.items():
+            outs = [tmp_path / f"{name}{i}.out" for i in range(2)]
+            for out in outs:
+                assert dispatch([*argv, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestBayesCommand:
     def test_summary_and_trace(self, tmp_path):
         s0, s1, _ = _simulate(tmp_path, n0=80, n1=80)
@@ -411,6 +426,7 @@ class TestConfigAndErrors:
         ('{"cv_folds": 2.5}', "error: cv_folds must be an integer\n"),
         ('{"min_leaf_total": 5.5}', "error: min_leaf_total must be an integer\n"),
         ('{"cuts_per_dim": 2.5}', "error: count_per_dim must be an integer\n"),
+        ('{"seed": 2.5}', "error: seed must be an integer\n"),
     ])
     def test_fractional_setting_is_one_line_error_before_fitting(self, tmp_path, capsys,
                                                                   monkeypatch, cfg, err):

@@ -380,6 +380,8 @@ class TestGibbsConfig:
         {"burn_in": 2.5},
         {"draws": 1.5},
         {"n_trees": 4.0},
+        {"seed": 2.5},
+        {"seed": -3},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -472,7 +474,6 @@ class TestSummarize:
     def test_mean_and_quantiles(self):
         lr = np.linspace(0.0, 1.0, 101).reshape(-1, 1)
         d = PosteriorDraws(lr, np.zeros(1, dtype=np.int32), np.zeros(101), np.zeros(101),
-                           np.zeros(101),
                            np.zeros((101, 3), dtype=np.int64),
                            np.zeros((101, 3), dtype=np.int64))
         means, qs = summarize(d, quantiles=(0.25, 0.75))
@@ -483,12 +484,12 @@ class TestSummarize:
     def test_validation(self):
         both = np.arange(2, dtype=np.int32)
         empty = PosteriorDraws(np.empty((0, 2)), both, np.empty(0), np.empty(0),
-                               np.empty(0), np.zeros((0, 3), dtype=np.int64),
+                               np.zeros((0, 3), dtype=np.int64),
                                np.zeros((0, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             summarize(empty)
         full = PosteriorDraws(np.zeros((3, 2)), both, np.zeros(3), np.zeros(3),
-                              np.zeros(3), np.zeros((3, 3), dtype=np.int64),
+                              np.zeros((3, 3), dtype=np.int64),
                               np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             summarize(full, quantiles=(0.0, 0.5))
@@ -633,7 +634,7 @@ class TestCells:
             expanded = np.empty((n_draws, n_points))
             for d in range(n_draws):
                 expanded[d] = cell_draws[d, point_cell]
-            rest = (np.zeros(n_draws), np.zeros(n_draws), np.zeros(n_draws),
+            rest = (np.zeros(n_draws), np.zeros(n_draws),
                     np.zeros((n_draws, 3), dtype=np.int64), np.zeros((n_draws, 3), dtype=np.int64))
             per_cell = PosteriorDraws(cell_draws, point_cell, *rest)
             per_point = PosteriorDraws(expanded, np.arange(n_points, dtype=np.int32), *rest)

@@ -14,7 +14,6 @@ from .data import (
     TwoSampleDataset,
     build_cut_grid,
     load_dataset,
-    load_labeled_dataset,
 )
 from .gibbs import (
     GibbsConfig,
@@ -26,7 +25,6 @@ from .gibbs import (
 from .loss import (
     DivergedModelError,
     finite_sample_loss,
-    hellinger_split_score,
     optimal_leaf_value,
     rebalance,
     row_masses,
@@ -38,6 +36,6 @@ from .simulate import (
     symmetrized_mse,
     true_log_ratio,
 )
-from .tree import DecisionTree, TreePrior, split_probability
+from .tree import DecisionTree, TreePrior
 
 __version__ = "0.1.0"

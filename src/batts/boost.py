@@ -12,7 +12,7 @@ import numpy as np
 from .data import CutGrid, TwoSampleDataset
 from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_value,
                    rebalance, row_masses)
-from .tree import DecisionTree
+from .tree import DecisionTree, json_int
 
 _LOSS_SLACK = 1e-12
 
@@ -98,14 +98,14 @@ class EnsembleModel:
         if not isinstance(doc, dict):
             raise ValueError(f"model file {path} must hold a JSON object")
         try:
-            dim = int(doc["dim"])
+            dim = json_int(doc["dim"], "dim")
             model = cls(
                 trees=[DecisionTree.from_dict(d, dim) for d in doc["trees"]],
                 learning_rate=float(doc["nu"]),
                 offset=float(doc["offset"]),
                 algorithm=doc["algorithm"],
                 dim=dim,
-                seed=int(doc.get("seed", 0)),
+                seed=json_int(doc.get("seed", 0), "seed"),
             )
         except KeyError as e:
             raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None

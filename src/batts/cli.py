@@ -323,9 +323,12 @@ def _cmd_bench(args) -> int:
         raise ValueError("--threads must be >= 1")
     boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
                     learning_rate=args.nu, cv_folds=args.cv_folds)
-    boost.BoostConfig(seed=args.seed, **boost_kw)  # checked before any job runs
     bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,
                     draws=args.bayes_draws)
+    # checked before any job runs
+    boost.BoostConfig(seed=args.seed, **boost_kw)
+    if "bayes" in methods:
+        gibbs.GibbsConfig(seed=args.seed, **bayes_kw)
     rows = run_bench(scenarios, sizes, methods, args.replicates, args.seed,
                      boost_kw, bayes_kw, threads=args.threads)
     rep_seeds = ",".join(str(args.seed + r) for r in range(args.replicates))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class TwoSampleDataset:
     def pooled(self) -> np.ndarray:
         return np.vstack([self.sample0, self.sample1])
 
-    def swapped(self) -> "TwoSampleDataset":
-        return TwoSampleDataset(self.sample1, self.sample0)
-
 
 @dataclass(frozen=True)
 class CutGrid:
@@ -124,21 +121,11 @@ class CutGrid:
             return bins, np.arange(n), np.arange(n)
         # mixed-radix key, the last dimension varying fastest
         places = np.cumprod([1] + radix[:0:-1], dtype=np.int64)[::-1]
-        key = bins @ places
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
-        # the stable sort puts each cell's first row at the start of its run
-        first_by_key = order[starts]
-        rank = np.argsort(first_by_key)
-        cell_of_run = np.empty(rank.size, dtype=np.int64)
-        cell_of_run[rank] = np.arange(rank.size)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = cell_of_run[np.cumsum(starts) - 1]
-        first = first_by_key[rank]
-        return bins[first], first, inverse
+        _, first, inverse = np.unique(bins @ places, return_index=True, return_inverse=True)
+        # np.unique numbers the cells by key; renumber them by first row
+        order = np.argsort(first)
+        first = first[order]
+        return bins[first], first, np.argsort(order)[inverse]
 
 
 def load_matrix(path) -> np.ndarray:
@@ -200,18 +187,6 @@ def load_dataset(path0, path1) -> TwoSampleDataset:
     data = TwoSampleDataset(s0, s1)
     _check_nonconstant(data)
     return data
-
-
-def load_labeled_dataset(path) -> TwoSampleDataset:
-    """Load both groups from one CSV whose trailing column is a 0/1 label."""
-    a = load_matrix(path)
-    if a.shape[1] < 2:
-        raise DataError("labeled input needs at least one feature column plus the label")
-    labels = a[:, -1]
-    if not np.all(np.isin(labels, (0.0, 1.0))):
-        raise DataError("trailing label column must contain only 0 and 1")
-    X = a[:, :-1]
-    return TwoSampleDataset(X[labels == 0.0], X[labels == 1.0])
 
 
 def _check_nonconstant(data: TwoSampleDataset) -> None:

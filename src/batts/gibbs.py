@@ -7,13 +7,13 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
 from .loss import check_log_weights, finite_sample_loss
-from .tree import DecisionTree, TreePrior, split_probability
+from .tree import DecisionTree, TreePrior
 
 GROW, PRUNE, CHANGE = 0, 1, 2
 
@@ -60,12 +60,6 @@ class GibbsConfig:
         return TreePrior(self.a_T, self.b_T)
 
 
-@dataclass(frozen=True)
-class LeafPosteriorParams:
-    mu_prime: float
-    lambda_prime: float
-
-
 def _posterior_params(s0: float, s1: float, tau: float, zeta: float, lam: float,
                       even: bool):
     """Inverse-Gaussian full-conditional parameters (mu', lam') of one leaf,
@@ -80,16 +74,6 @@ def _posterior_params(s0: float, s1: float, tau: float, zeta: float, lam: float,
         a, b = b, a
     lam_p = lam + a
     return math.sqrt(lam_p / (lam + b)), lam_p
-
-
-def leaf_full_conditional(s0: float, s1: float, tau: float, zeta: float,
-                          lam: float, parity: str = "odd") -> LeafPosteriorParams:
-    if s0 < 0 or s1 < 0 or tau < 0:
-        raise ValueError("leaf sums and tau must be nonnegative")
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, even=(parity == "even"))
-    return LeafPosteriorParams(mu_p, lam_p)
 
 
 def integrated_leaf_loglik(s0, s1, tau, zeta, lam, even=False):
@@ -129,19 +113,6 @@ def update_tau(logw0: np.ndarray, logw1: np.ndarray, a0: float, b0: float,
         n = counts0.sum() + counts1.sum()
     rate = b0 + n * finite_sample_loss(logw0, logw1, counts0, counts1)
     return float(rng.gamma(a0 + n, 1.0 / rate))
-
-
-def prior_log_weight_draws(n_trees: int, lambda0: float, n_draws: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Direct draws of log w(x) at a fixed point under the alternating
-    inverse-Gaussian prior (no data)."""
-    if n_trees % 2 != 0:
-        raise ValueError("n_trees must be even")
-    half = n_trees // 2
-    lam = lambda0 * n_trees
-    z_odd = sample_inverse_gaussian(np.ones((n_draws, half)), lam, rng)
-    z_even = sample_inverse_gaussian(np.ones((n_draws, half)), lam, rng)
-    return np.log(z_odd).sum(axis=1) - np.log(z_even).sum(axis=1)
 
 
 class SamplerTree:
@@ -371,7 +342,11 @@ def _resample_betas(tree: SamplerTree, ctx: MoveContext,
 
     This is sample_inverse_gaussian leaf by leaf, in Python floats, on the
     same standard_normal(nl) and random(nl) draws, so the draws are bit-equal
-    to it.
+    to it. A tree has a handful of leaves, so numpy's cost per call
+    dominates: sample_inverse_gaussian on arrays of leaf parameters gave
+    the same draws, but a run of K=200 trees and 25 sweeps on GlobalShift2D
+    2500/2500 took a median 0.59 s, against 0.47 s with this loop (2-core
+    VM, numpy 2.4.6).
     """
     s0, s1 = ctx.leaf_sums(tree)
     nl = tree.n_leaves()

@@ -1,6 +1,5 @@
 """The balancing loss on log-weights: finite-sample value, per-row masses
-(the negative gradients), optimal leaf weights, rebalancing, and the affinity
-split score.
+(the negative gradients), optimal leaf weights and rebalancing.
 
 Every function takes the log-weights log w over group 0 and group 1 as the two
 arrays (logw0, logw1) that boosting and the sampler already hold.
@@ -99,19 +98,3 @@ def rebalance(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):
     e1 = _row_mean(np.exp(logw1), counts1)
     return 0.5 * (np.log(e0) - np.log(e1)), 2.0 * np.sqrt(e0 * e1)
 
-
-def hellinger_split_score(pl: float, ql: float, pr: float, qr: float) -> float:
-    """Affinity of a candidate split, with each group normalized over the
-    two children. Ranges over [0, 1]; lower means a sharper separation.
-
-    This is the test oracle for the fs score of boosting's split search,
-    sqrt(pl*ql) + sqrt(pr*qr), which drops the constant normalization
-    sqrt((pl + pr) * (ql + qr)) of the node.
-    """
-    if min(pl, ql, pr, qr) < 0:
-        raise ValueError("leaf masses must be nonnegative")
-    p_tot = pl + pr
-    q_tot = ql + qr
-    if p_tot <= 0 or q_tot <= 0:
-        raise ValueError("each group must carry positive total mass across the split")
-    return float(np.sqrt(pl / p_tot * ql / q_tot) + np.sqrt(pr / p_tot * qr / q_tot))

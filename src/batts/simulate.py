@@ -86,10 +86,6 @@ class Scenario:
     def dim(self) -> int:
         return self.p.dim
 
-    def swapped(self) -> "Scenario":
-        return Scenario(self.name + "-swapped", self.q, self.p,
-                        self.latent_q, self.latent_p, self.loading, self.noise_scale)
-
 
 SCENARIO_NAMES = (
     "GlobalShift2D",

@@ -1,4 +1,5 @@
-"""Axis-aligned binary trees, point routing, and the recursive split prior."""
+"""Axis-aligned binary trees, point routing, and the recursive split prior's
+parameters."""
 
 from __future__ import annotations
 
@@ -80,25 +81,12 @@ class DecisionTree:
         """Leaf Nodes from left to right."""
         return [node for node in self._nodes() if node.is_leaf]
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has dimension {x.shape}, tree expects ({self.dim},)")
-        i = 0
-        while self.feature[i] >= 0:
-            i = i + 1 if x[self.feature[i]] <= self.value[i] else self.right[i]
-        return float(self.value[i])
-
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = self._points(X)
         out = np.empty(X.shape[0], dtype=np.float64)
         for leaf, idx in self._route(X):
             out[idx] = self.value[leaf]
         return out
-
-    def leaf_memberships(self, X: np.ndarray) -> list:
-        """Row indices of X per leaf, in leaves() order."""
-        return [idx for _, idx in self._route(self._points(X))]
 
     def _points(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -147,9 +135,16 @@ class DecisionTree:
             else:
                 stack.append((node["right"], len(feature)))
                 stack.append((node["left"], -1))
-                feature.append(int(node["dim"]))
+                feature.append(json_int(node["dim"], "split dimension"))
                 value.append(float(node["threshold"]))
         return cls(feature, right, value, dim)
+
+
+def json_int(value, name: str) -> int:
+    """value, if it is an integer as JSON reads one: not a float, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _to_dict(feature, right, value, i) -> dict:
@@ -176,32 +171,3 @@ class TreePrior:
         if not 0.0 <= self.b_T < math.inf:  # false for NaN
             raise ValueError("b_T must be >= 0 and finite")
 
-
-def split_probability(prior: TreePrior, depth: int) -> float:
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return prior.a_T * (1.0 + depth) ** (-prior.b_T)
-
-
-def sample_tree_from_prior(prior: TreePrior, grid, rng: np.random.Generator,
-                           max_depth: int | None = None) -> DecisionTree:
-    """Draw a tree structure (all betas 0) from the recursive partition prior."""
-    feature, right, value = [], [], []
-
-    def build(depth):
-        node = len(feature)
-        feature.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        cap = max_depth is not None and depth >= max_depth
-        if not cap and rng.random() < split_probability(prior, depth):
-            dim = int(rng.integers(grid.dim))
-            j = int(rng.integers(len(grid.cuts[dim])))
-            feature[node] = dim
-            value[node] = float(grid.cuts[dim][j])
-            build(depth + 1)
-            right[node] = len(feature)
-            build(depth + 1)
-
-    build(0)
-    return DecisionTree(feature, right, value, grid.dim)

@@ -50,3 +50,12 @@ def test_one_boost_log_weight_check_per_grown_tree(tracing):
     model = tracer.run(lambda: fit(data, grid, config, select=True))
     checks = tracer.starts("loss.check_log_weights", "boost")
     assert checks.size == config.cv_folds * config.max_trees + len(model.trees)
+
+
+def test_split_hit_ratio_of_a_fitted_model(tracing):
+    """The bench walks the linked Nodes of tree.root to count the splits of
+    a fit, so a model's ratio must come out in (0, 1]."""
+    data = generate(make_scenario("GlobalShift2D"), 150, 150, seed=1)
+    model = fit(data, build_cut_grid(data, 15), BoostConfig(max_trees=5, seed=1),
+                select=False)
+    assert 0.0 < tracing.split_hit_ratio(model.trees) <= 1.0

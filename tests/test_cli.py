@@ -247,6 +247,23 @@ class TestBench:
         assert capsys.readouterr().err == "error: --bayes-draws must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bayes-trees", "3", "n_trees must be even"),
+        ("--bayes-burnin", "-1", "burn_in and draws must be >= 0"),
+    ])
+    def test_bad_sampler_settings_rejected_before_jobs(self, tmp_path, capsys, monkeypatch,
+                                                       flag, value, message):
+        started = []
+        monkeypatch.setattr(cli, "_bench_job", started.append)
+        out = tmp_path / "b.csv"
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--sizes", "balanced",
+                         "--methods", "gb,bayes", flag, value, "--threads", "1",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert started == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
@@ -286,7 +303,8 @@ class TestBench:
 class TestLeanImports:
     def test_cli_and_a_2d_fit_skip_unused_modules(self):
         """The process pool is imported only when bench runs in parallel,
-        and the cell map does without np.unique, which imports numpy.ma."""
+        and a fit does not import numpy.ma: the cell map's np.unique returns
+        indices, and only np.unique without them imports numpy.ma."""
         code = (
             "import sys\n"
             "import batts.cli\n"
@@ -304,8 +322,8 @@ class TestLeanImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_a_2d_sampler_run_skips_numpy_ma(self):
-        """The sampler's cell map does without np.unique too, and so do the
-        quantiles of summarize."""
+        """The sampler's cell map does not import numpy.ma either, and the
+        quantiles of summarize do without np.quantile, which does."""
         code = (
             "import sys\n"
             "from batts import GibbsConfig, build_cut_grid, generate, make_scenario\n"
@@ -370,7 +388,18 @@ class TestMalformedModel:
         "inf nu": (lambda d: d.update(nu=float("-inf")), "non-finite nu -inf"),
         "not an object": (lambda d: None, "must hold a JSON object"),
         "dim not a number": (lambda d: TestMalformedModel._split_node(d).update(dim="x"),
-                             "malformed value (invalid literal for int()"),
+                             "malformed value (split dimension 'x' is not an integer)"),
+        "fractional split dim": (lambda d: TestMalformedModel._split_node(d).update(dim=0.7),
+                                 "malformed value (split dimension 0.7 is not an integer)"),
+        "infinite split dim": (
+            lambda d: TestMalformedModel._split_node(d).update(dim=float("inf")),
+            "malformed value (split dimension inf is not an integer)"),
+        "fractional model dim": (lambda d: d.update(dim=2.5),
+                                 "malformed value (dim 2.5 is not an integer)"),
+        "fractional seed": (lambda d: d.update(seed=2.5),
+                            "malformed value (seed 2.5 is not an integer)"),
+        "bool split dim": (lambda d: TestMalformedModel._split_node(d).update(dim=True),
+                           "malformed value (split dimension True is not an integer)"),
         "child not a node": (lambda d: TestMalformedModel._split_node(d).update(left=3),
                              "malformed value ("),
     }

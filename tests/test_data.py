@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from batts import CutGrid, DataError, TwoSampleDataset, build_cut_grid
-from batts.data import (
-    load_dataset,
-    load_labeled_dataset,
-    load_matrix,
-    save_matrix,
-)
+from batts.data import load_dataset, load_matrix, save_matrix
 
 
 class TestTwoSampleDataset:
@@ -21,12 +16,6 @@ class TestTwoSampleDataset:
     def test_pooled_stacks_group0_first(self):
         d = TwoSampleDataset(np.zeros((2, 1)), np.ones((3, 1)))
         np.testing.assert_array_equal(d.pooled().ravel(), [0, 0, 1, 1, 1])
-
-    def test_swapped_exchanges_groups(self):
-        d = TwoSampleDataset(np.zeros((2, 1)), np.ones((3, 1)))
-        s = d.swapped()
-        assert s.n0 == 3 and s.n1 == 2
-        np.testing.assert_array_equal(s.sample0, d.sample1)
 
     def test_arrays_are_read_only(self):
         d = TwoSampleDataset(np.zeros((2, 2)), np.ones((2, 2)))
@@ -223,19 +212,6 @@ class TestCsvIo:
         (tmp_path / "a.csv").write_text("")
         with pytest.raises(DataError, match="empty input"):
             load_matrix(tmp_path / "a.csv")
-
-    def test_labeled_dataset(self, tmp_path):
-        (tmp_path / "m.csv").write_text(
-            "1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n"
-        )
-        d = load_labeled_dataset(tmp_path / "m.csv")
-        assert d.n0 == 2 and d.n1 == 1
-        np.testing.assert_array_equal(d.sample1, [[3.0, 4.0]])
-
-    def test_labeled_dataset_bad_label(self, tmp_path):
-        (tmp_path / "m.csv").write_text("1.0,2.0,2\n")
-        with pytest.raises(DataError, match="0 and 1"):
-            load_labeled_dataset(tmp_path / "m.csv")
 
     def test_constant_column_at_load(self, tmp_path):
         (tmp_path / "a.csv").write_text("1.0,5.0\n1.0,6.0\n")

@@ -1,8 +1,6 @@
 """Sampler oracles: inverse-Gaussian conjugacy, the integrated leaf
 likelihood, prior centering, MH bookkeeping, and end-to-end posterior checks."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -22,16 +20,15 @@ from batts.gibbs import (
     PosteriorDraws,
     SamplerTree,
     _grow_factor,
+    _posterior_params,
     _resample_betas,
     _verify_state,
     column_quantiles,
     integrated_leaf_loglik,
-    leaf_full_conditional,
     mh_tree_move,
-    prior_log_weight_draws,
     sample_inverse_gaussian,
 )
-from batts.tree import sample_tree_from_prior, split_probability
+from oracles import prior_log_weight_draws, sample_tree_from_prior, split_probability
 
 
 def _ig_logpdf(x, mu, lam):
@@ -59,11 +56,10 @@ class TestLeafConjugacy:
             zeta = rng.uniform(0.2, 0.8)
             lam = rng.uniform(1.0, 2000.0)
             even = bool(rng.integers(2))
-            parity = "even" if even else "odd"
-            post = leaf_full_conditional(s0, s1, tau, zeta, lam, parity=parity)
+            mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, even)
             x = rng.uniform(0.3, 3.0, size=8)
             diff = _leaf_log_target(x, s0, s1, tau, zeta, lam, even) - _ig_logpdf(
-                x, post.mu_prime, post.lambda_prime
+                x, mu_p, lam_p
             )
             assert np.ptp(diff) < 1e-8
 
@@ -74,14 +70,14 @@ class TestLeafConjugacy:
             tau = rng.uniform(0.1, 1.5)
             zeta = rng.uniform(0.3, 0.7)
             lam = rng.uniform(5.0, 500.0)
-            post = leaf_full_conditional(s0, s1, tau, zeta, lam)
+            mu_p, lam_p = _posterior_params(s0, s1, tau, zeta, lam, False)
             # scale by the value at the mode so quad sees an O(1) integrand
-            peak = _leaf_log_target(post.mu_prime, s0, s1, tau, zeta, lam, False)
+            peak = _leaf_log_target(mu_p, s0, s1, tau, zeta, lam, False)
             z, _ = integrate.quad(
                 lambda x: np.exp(
                     _leaf_log_target(x, s0, s1, tau, zeta, lam, False) - peak
                 ),
-                0.0, 30.0, points=[post.mu_prime], limit=200,
+                0.0, 30.0, points=[mu_p], limit=200,
                 epsabs=1e-14, epsrel=1e-12,
             )
             for x in (0.5, 0.9, 1.0, 1.2, 2.0):
@@ -90,28 +86,18 @@ class TestLeafConjugacy:
                 ) / z
                 if target < 1e-12:
                     continue
-                ig = np.exp(_ig_logpdf(x, post.mu_prime, post.lambda_prime))
+                ig = np.exp(_ig_logpdf(x, mu_p, lam_p))
                 assert ig == pytest.approx(target, rel=1e-6)
 
     def test_no_data_returns_prior(self):
-        post = leaf_full_conditional(0.0, 0.0, 1.0, 0.5, 10.0)
-        assert post.mu_prime == pytest.approx(1.0)
-        assert post.lambda_prime == pytest.approx(10.0)
+        mu_p, lam_p = _posterior_params(0.0, 0.0, 1.0, 0.5, 10.0, False)
+        assert mu_p == pytest.approx(1.0)
+        assert lam_p == pytest.approx(10.0)
 
     def test_parity_swaps_group_roles(self):
-        odd = leaf_full_conditional(3.0, 7.0, 0.8, 0.5, 20.0, parity="odd")
-        even = leaf_full_conditional(7.0, 3.0, 0.8, 0.5, 20.0, parity="even")
-        assert odd.mu_prime == pytest.approx(even.mu_prime)
-        assert odd.lambda_prime == pytest.approx(even.lambda_prime)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            leaf_full_conditional(-1.0, 1.0, 1.0, 0.5, 10.0)
-
-    @pytest.mark.parametrize("parity", ["Odd", "EVEN", "even ", "", "1"])
-    def test_unknown_parity_rejected(self, parity):
-        with pytest.raises(ValueError, match="parity"):
-            leaf_full_conditional(3.0, 7.0, 0.8, 0.5, 20.0, parity=parity)
+        odd = _posterior_params(3.0, 7.0, 0.8, 0.5, 20.0, False)
+        even = _posterior_params(7.0, 3.0, 0.8, 0.5, 20.0, True)
+        assert odd == pytest.approx(even)
 
 
 class TestIntegratedLoglik:
@@ -122,13 +108,13 @@ class TestIntegratedLoglik:
             tau = rng.uniform(0.1, 1.5)
             zeta = rng.uniform(0.3, 0.7)
             lam = rng.uniform(5.0, 500.0)
-            post = leaf_full_conditional(s0, s1, tau, zeta, lam)
-            peak = _leaf_log_target(post.mu_prime, s0, s1, tau, zeta, lam, False)
+            mu_p, _ = _posterior_params(s0, s1, tau, zeta, lam, False)
+            peak = _leaf_log_target(mu_p, s0, s1, tau, zeta, lam, False)
             z, _ = integrate.quad(
                 lambda x: np.exp(
                     _leaf_log_target(x, s0, s1, tau, zeta, lam, False) - peak
                 ),
-                0.0, 30.0, points=[post.mu_prime], limit=200,
+                0.0, 30.0, points=[mu_p], limit=200,
                 epsabs=1e-14, epsrel=1e-12,
             )
             ll = integrated_leaf_loglik(s0, s1, tau, zeta, lam)

@@ -11,12 +11,12 @@ from batts import (
     DivergedModelError,
     TwoSampleDataset,
     finite_sample_loss,
-    hellinger_split_score,
     optimal_leaf_value,
     rebalance,
     row_masses,
 )
 from batts.loss import LOG_WEIGHT_LIMIT, DegenerateLeafError, check_log_weights
+from oracles import hellinger_split_score
 
 
 def _random_log_weights(gen, n0=50, n1=40, scale=1.0):

@@ -102,7 +102,7 @@ class TestScenarios:
         sc = make_scenario("LocalDispersion2D")
         X = rng.standard_normal((30, 2)) * 3
         np.testing.assert_allclose(
-            true_log_ratio(sc.swapped(), X), -true_log_ratio(sc, X), atol=1e-12
+            true_log_ratio(Scenario(sc.name, sc.q, sc.p), X), -true_log_ratio(sc, X), atol=1e-12
         )
 
     def test_loading_is_orthonormal(self):

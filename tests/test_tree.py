@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from batts import DecisionTree, TreePrior, split_probability
-from batts.data import CutGrid, TwoSampleDataset, build_cut_grid
-from batts.tree import sample_tree_from_prior
+from batts import DecisionTree, TreePrior
+from batts.data import CutGrid, TwoSampleDataset
+from oracles import evaluate, leaf_memberships, sample_tree_from_prior, split_probability
 
 
 def _two_level_tree():
@@ -23,26 +23,26 @@ def _two_level_tree():
 class TestRouting:
     def test_root_only(self):
         t = DecisionTree([-1], [-1], [0.7], 2)
-        assert t.evaluate([3.0, -1.0]) == 0.7
+        assert evaluate(t, [3.0, -1.0]) == 0.7
 
     def test_single_split_boundary_goes_left(self):
         t = DecisionTree.from_dict({"dim": 0, "threshold": 2.0,
                                     "left": {"beta": -1.0}, "right": {"beta": 1.0}}, 2)
-        assert t.evaluate([1.5, 0.0]) == -1.0
-        assert t.evaluate([2.0, 0.0]) == -1.0  # ties route left
-        assert t.evaluate([2.1, 0.0]) == 1.0
+        assert evaluate(t, [1.5, 0.0]) == -1.0
+        assert evaluate(t, [2.0, 0.0]) == -1.0  # ties route left
+        assert evaluate(t, [2.1, 0.0]) == 1.0
 
     def test_depth2_leaf_interiors(self):
         t = _two_level_tree()
-        assert t.evaluate([-1.0, -1.0]) == -2.0
-        assert t.evaluate([-1.0, 1.0]) == -1.0
-        assert t.evaluate([1.0, 5.0]) == 1.0
+        assert evaluate(t, [-1.0, -1.0]) == -2.0
+        assert evaluate(t, [-1.0, 1.0]) == -1.0
+        assert evaluate(t, [1.0, 5.0]) == 1.0
 
     def test_evaluate_many_matches_scalar(self, rng):
         t = _two_level_tree()
         X = rng.standard_normal((100, 2))
         many = t.evaluate_many(X)
-        one = np.array([t.evaluate(x) for x in X])
+        one = np.array([evaluate(t, x) for x in X])
         np.testing.assert_array_equal(many, one)
 
     def test_leaves_left_to_right(self):
@@ -54,7 +54,7 @@ class TestRouting:
     def test_leaf_memberships_partition(self, rng):
         t = _two_level_tree()
         X = rng.standard_normal((50, 2))
-        buckets = t.leaf_memberships(X)
+        buckets = leaf_memberships(t, X)
         joined = np.sort(np.concatenate(buckets))
         np.testing.assert_array_equal(joined, np.arange(50))
 
@@ -62,8 +62,8 @@ class TestRouting:
         t = _two_level_tree()
         data = TwoSampleDataset(rng.standard_normal((30, 2)),
                                 rng.standard_normal((20, 2)))
-        routed = list(zip(t.leaf_memberships(data.sample0),
-                          t.leaf_memberships(data.sample1)))
+        routed = list(zip(leaf_memberships(t, data.sample0),
+                          leaf_memberships(t, data.sample1)))
         assert len(routed) == t.n_leaves()
         assert sum(a.size for a, _ in routed) == 30
         assert sum(b.size for _, b in routed) == 20
@@ -71,7 +71,7 @@ class TestRouting:
     def test_dimension_mismatch(self):
         t = _two_level_tree()
         with pytest.raises(ValueError):
-            t.evaluate([1.0])
+            evaluate(t, [1.0])
         with pytest.raises(ValueError):
             t.evaluate_many(np.zeros((4, 3)))
 

@@ -12,7 +12,7 @@ import numpy as np
 from .data import CutGrid, TwoSampleDataset
 from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_value,
                    rebalance, row_masses)
-from .tree import DecisionTree, json_int
+from .tree import DecisionTree, json_float, json_int
 
 _LOSS_SLACK = 1e-12
 
@@ -101,8 +101,8 @@ class EnsembleModel:
             dim = json_int(doc["dim"], "dim")
             model = cls(
                 trees=[DecisionTree.from_dict(d, dim) for d in doc["trees"]],
-                learning_rate=float(doc["nu"]),
-                offset=float(doc["offset"]),
+                learning_rate=json_float(doc["nu"], "nu"),
+                offset=json_float(doc["offset"], "offset"),
                 algorithm=doc["algorithm"],
                 dim=dim,
                 seed=json_int(doc.get("seed", 0), "seed"),
@@ -149,16 +149,25 @@ class _Grower:
 
     Rows of one cell fall in the same child of every split, so a cell is
     grown as one entry with its row count and the summed mass of its rows.
-    counts0/counts1 are the cells' row counts, or None where every cell
-    holds one row; then the count histograms are unweighted.
+    The cells' training row counts weight the count histograms, which are
+    unweighted where every training cell holds one row.
+
+    One grow builds one tree for each member, an independent boosting run
+    given as (bins0, counts0, bins1, counts1) with the cells that have
+    training rows first. The members' cells of each group share one stack:
+    every member's training cells, member by member and each member's in its
+    own order, then every member's cells without training rows. Member m's
+    cells enter with slot m, so its root is node m of depth 0.
     At each depth the live cells, those of nodes that may still split, are
-    kept in cell order with the slot of their node among the depth's nodes,
+    kept in stack order with the slot of their node among the depth's nodes,
     and split search scores every (node, dimension, cut) of the depth at
     once. Each (slot, dimension, bin) triple is one histogram bucket, with
     key (slot * dims + dim) * width + bin, where width is one more than the
     largest cut count; so one bincount per histogram covers every node and
-    dimension, each bucket adds its cells in cell order, and cumulative sums
-    along each (node, dimension) row give the left-child totals of its cuts.
+    dimension of every member, each bucket adds its cells in the order of a
+    member grown alone, and cumulative sums along each (node, dimension) row
+    give the left-child totals of its cuts. The root's count histograms are
+    the same for every tree, so they are taken once, in __init__.
     The fs criterion scores a split by the affinity of its children's masses,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
     -m1 (see loss.row_masses), both from the two mass histograms. Children
@@ -169,10 +178,11 @@ class _Grower:
     no valid split, or at max_depth, becomes a leaf.
     """
 
-    def __init__(self, bins0, bins1, counts0, counts1, cuts, max_depth, min_leaf_total,
-                 algorithm):
+    def __init__(self, members, cuts, max_depth, min_leaf_total, algorithm):
         self.width = max(len(c) for c in cuts) + 1
         offsets = np.arange(len(cuts)) * self.width
+        bins0, counts0, self.slots0, self.rows0 = _stack([m[:2] for m in members])
+        bins1, counts1, self.slots1, self.rows1 = _stack([m[2:] for m in members])
         self.keys0 = bins0 + offsets
         self.keys1 = bins1 + offsets
         # each depth's live keys and repeated weights are written here, not
@@ -180,30 +190,38 @@ class _Grower:
         # allocator hands such pages back and faults them in again each depth
         self.kbuf0, self.kbuf1 = np.empty_like(self.keys0), np.empty_like(self.keys1)
         self.wbuf0, self.wbuf1 = np.empty(self.keys0.shape), np.empty(self.keys1.shape)
-        self.counts0 = counts0
-        self.counts1 = counts1
+        self.counts0 = _unit(counts0)
+        self.counts1 = _unit(counts1)
         self.cuts = cuts
+        self.members = len(members)
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
         self.gb = algorithm == "gb"
+        live0, live1 = np.arange(counts0.size), np.arange(counts1.size)
+        slot0, slot1 = self.slots0[:live0.size], self.slots1[:live1.size]
+        self.root_counts = self._split_counts(
+            self._keys(self.keys0, self.kbuf0, live0, slot0, self.members), live0, slot0,
+            self._keys(self.keys1, self.kbuf1, live1, slot1, self.members), live1, slot1,
+            self.members)
 
     def grow(self, m0, m1):
-        """Returns (tree, contrib0, contrib1) with per-cell leaf betas.
+        """Returns (tree, contrib0, contrib1) for each member: its tree and
+        the leaf betas of its cells.
 
-        m0/m1 are the per-cell masses of loss.row_masses. They may cover
-        only a prefix of the cells: the cells past it are routed to their
-        leaves, but left out of every histogram. The live cells stay in
-        ascending order, so each depth's cells with masses are a prefix of
-        its live cells.
+        m0/m1 are the masses of loss.row_masses on each member's training
+        cells, member by member: the stack's training cells. The cells past
+        them are routed to their leaves, but left out of every histogram.
+        The live cells stay in ascending order, so each depth's cells with
+        masses are a prefix of its live cells.
         """
         n0, n1 = self.keys0.shape[0], self.keys1.shape[0]
         contrib0, contrib1 = np.empty(n0), np.empty(n1)
         live0, live1 = np.arange(n0), np.arange(n1)
-        slot0, slot1 = np.zeros(n0, np.intp), np.zeros(n1, np.intp)
+        slot0, slot1 = self.slots0, self.slots1
         # the nodes in breadth-first order: split dimension (-1 at a leaf),
         # threshold or beta, and the first of the two children
         feature, value, child = [], [], []
-        nodes = 1
+        nodes = self.members
         for depth in range(self.max_depth + 1):
             h0, h1 = live0.searchsorted(m0.size), live1.searchsorted(m1.size)
             w0, w1 = m0[live0[:h0]], m1[live1[:h1]]
@@ -211,7 +229,7 @@ class _Grower:
             q = np.bincount(slot1[:h1], weights=w1, minlength=nodes)
             if depth < self.max_depth:
                 dim, cut = self.search(live0[:h0], slot0[:h0], w0, p,
-                                       live1[:h1], slot1[:h1], w1, q, nodes)
+                                       live1[:h1], slot1[:h1], w1, q, nodes, depth == 0)
             else:
                 dim = cut = np.full(nodes, -1)
             leaf = dim < 0
@@ -236,7 +254,8 @@ class _Grower:
             live1, slot1 = self._route(self.keys1, contrib1, live1, slot1, leaf, beta,
                                        dim, split_key, child_slot)
             nodes = 2 * (nodes - int(np.count_nonzero(leaf)))
-        return self._preorder(feature, value, child), contrib0, contrib1
+        return [(self._preorder(feature, value, child, m), contrib0[r0], contrib1[r1])
+                for m, (r0, r1) in enumerate(zip(self.rows0, self.rows1))]
 
     @staticmethod
     def _route(keys, contrib, live, slot, leaf, beta, dim, split_key, child_slot):
@@ -251,11 +270,11 @@ class _Grower:
         right = keys[live, dim[slot]] > split_key[slot]
         return live, child_slot[slot] + right
 
-    def _preorder(self, feature, value, child):
-        """The tree of breadth-first node lists, in DecisionTree's preorder
-        arrays."""
+    def _preorder(self, feature, value, child, root):
+        """The tree under node root of the breadth-first node lists, in
+        DecisionTree's preorder arrays."""
         pre_feature, pre_right, pre_value = [], [], []
-        stack = [(0, -1)]
+        stack = [(root, -1)]
         while stack:
             n, parent = stack.pop()
             if parent >= 0:  # n is the right child of parent
@@ -268,26 +287,18 @@ class _Grower:
                 stack.append((child[n], -1))
         return DecisionTree(pre_feature, pre_right, pre_value, len(self.cuts))
 
-    def search(self, live0, slot0, w0, p, live1, slot1, w1, q, nodes):
+    def search(self, live0, slot0, w0, p, live1, slot1, w1, q, nodes, root):
         """The best split of each of the depth's nodes, as (dim, cut) arrays
         with dim -1 where a node has no valid split.
 
         live/slot are the live cells and their node's slot, w their masses,
-        and p/q the nodes' mass totals. The first (dim, cut) in row-major
-        order wins ties.
+        and p/q the nodes' mass totals; root is true at depth 0. The first
+        (dim, cut) in row-major order wins ties.
         """
         k0 = self._keys(self.keys0, self.kbuf0, live0, slot0, nodes)
         k1 = self._keys(self.keys1, self.kbuf1, live1, slot1, nodes)
-        lc0, n0 = self._counts(k0, self.wbuf0, self.counts0, live0, slot0, nodes)
-        lc1, n1 = self._counts(k1, self.wbuf1, self.counts1, live1, slot1, nodes)
-        rc0 = n0 - lc0
-        rc1 = n1 - lc1
-        valid = (
-            (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
-            & (lc0 + lc1 >= self.min_leaf_total)
-            & (rc0 + rc1 >= self.min_leaf_total)
-        ).reshape(nodes, -1)
-        found = valid.any(axis=1)
+        valid, found, lc, rc = self.root_counts if root else self._split_counts(
+            k0, live0, slot0, k1, live1, slot1, nodes)
         if not found.any():
             return np.full(nodes, -1), np.full(nodes, -1)
         lp = self._left_totals(k0, self._repeat(w0, self.wbuf0), nodes)
@@ -298,7 +309,7 @@ class _Grower:
             # residual sums: +mass on group 0, -mass on group 1
             lsum = lp - lq
             with np.errstate(divide="ignore", invalid="ignore"):
-                score = -(lsum**2 / (lc0 + lc1) + (p - q - lsum) ** 2 / (rc0 + rc1))
+                score = -(lsum**2 / lc + (p - q - lsum) ** 2 / rc)
         else:
             # cumulative cancellation can leave tiny negative right masses
             rp = np.maximum(p - lp, 0.0)
@@ -308,6 +319,21 @@ class _Grower:
         dim, cut = np.divmod(best, self.width - 1)
         dim[~found] = -1
         return dim, cut
+
+    def _split_counts(self, k0, live0, slot0, k1, live1, slot1, nodes):
+        """(valid, found, left, right): which (node, dim, cut) splits pass the
+        row-count rules, which nodes have one, and the pooled row counts of
+        each split's children."""
+        lc0, n0 = self._counts(k0, self.wbuf0, self.counts0, live0, slot0, nodes)
+        lc1, n1 = self._counts(k1, self.wbuf1, self.counts1, live1, slot1, nodes)
+        rc0 = n0 - lc0
+        rc1 = n1 - lc1
+        valid = (
+            (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
+            & (lc0 + lc1 >= self.min_leaf_total)
+            & (rc0 + rc1 >= self.min_leaf_total)
+        ).reshape(nodes, -1)
+        return valid, valid.any(axis=1), lc0 + lc1, rc0 + rc1
 
     def _keys(self, keys, buf, live, slot, nodes):
         """The live cells' histogram keys, offset by their node's slot, in
@@ -355,47 +381,70 @@ def _unit(counts):
     return None if (counts == 1).all() else counts
 
 
-def _boost(bins0, counts0, bins1, counts1, cuts, config: BoostConfig, n_trees: int):
-    """Yields (tree, log_c, loss, logw0, logw1) after each of n_trees trees.
+def _stack(cells):
+    """One group's (bins, counts) of every member on one stack (see _Grower),
+    as (bins, training counts, slots, rows): slots holds each stacked cell's
+    member, and rows[m] the stack indices of member m's cells, in its order."""
+    bins, counts = zip(*cells)
+    sizes = [c.size for c in counts]
+    counts = np.concatenate(counts)
+    order = np.argsort(counts == 0, kind="stable")
+    slots = np.repeat(np.arange(len(sizes)), sizes)[order]
+    rows = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+    return np.concatenate(bins)[order], counts[order[:np.count_nonzero(counts)]], slots, rows
 
-    Each tree's shrunken update is followed by the rebalance shift log_c;
-    the training loss must never increase. Each group keeps one log w per
-    cell, updated in place, and the cells' training row counts weight it in
-    the masses and the rebalance (see loss.row_masses). Cells with no
-    training rows, which must come last, get a log w from their leaves but
-    weigh nothing in the fit.
+
+def _boost(members, cuts, config: BoostConfig, n_trees: int):
+    """Yields, after each of n_trees steps, one (tree, log_c, loss, logw0,
+    logw1) per member.
+
+    A member is one boosting run, given as (bins0, counts0, bins1, counts1):
+    its cells and their training row counts. Cells with no training rows,
+    which must come last, get a log w from their leaves but weigh nothing in
+    the fit. One _Grower.grow call grows the step's tree of every member.
+    Each member's shrunken update is followed by its rebalance shift log_c;
+    its training loss must never increase. A member keeps one log w per
+    cell, updated in place, and its cells' training row counts weight it in
+    the masses and the rebalance (see loss.row_masses). These run per member
+    on its own arrays, so a member's trees and log w are bit for bit those
+    of a run on its own.
     """
-    n0, n1 = np.count_nonzero(counts0), np.count_nonzero(counts1)
-    c0, c1 = _unit(counts0[:n0]), _unit(counts1[:n1])
-    grower = _Grower(bins0, bins1, c0, c1, cuts, config.max_depth,
-                     config.min_leaf_total, config.algorithm)
-    logw0, logw1 = np.zeros(bins0.shape[0]), np.zeros(bins1.shape[0])
-    train0, train1 = logw0[:n0], logw1[:n1]
+    grower = _Grower(members, cuts, config.max_depth, config.min_leaf_total,
+                     config.algorithm)
+    runs = []
+    for _, k0, _, k1 in members:
+        n0, n1 = np.count_nonzero(k0), np.count_nonzero(k1)
+        w0, w1 = np.zeros(k0.size), np.zeros(k1.size)
+        runs.append((w0, w1, w0[:n0], w1[:n1], _unit(k0[:n0]), _unit(k1[:n1])))
     nu = config.learning_rate
-    last = 2.0
+    last = [2.0] * len(members)
     for _ in range(n_trees):
-        tree, f0, f1 = grower.grow(*row_masses(train0, train1, c0, c1))
-        logw0 += nu * f0
-        logw1 += nu * f1
-        log_c, loss = rebalance(train0, train1, c0, c1)
-        logw0 += log_c
-        logw1 += log_c
-        check_log_weights(train0, train1)
-        if loss > last + _LOSS_SLACK:
-            raise AssertionError(f"training loss increased: {last!r} -> {loss!r}")
-        last = loss
-        yield tree, log_c, loss, logw0, logw1
+        m0, m1 = zip(*[row_masses(t0, t1, c0, c1) for _, _, t0, t1, c0, c1 in runs])
+        grown = grower.grow(np.concatenate(m0), np.concatenate(m1))
+        steps = []
+        for m, ((tree, f0, f1), (w0, w1, t0, t1, c0, c1)) in enumerate(zip(grown, runs)):
+            w0 += nu * f0
+            w1 += nu * f1
+            log_c, loss = rebalance(t0, t1, c0, c1)
+            w0 += log_c
+            w1 += log_c
+            check_log_weights(t0, t1)
+            if loss > last[m] + _LOSS_SLACK:
+                raise AssertionError(f"training loss increased: {last[m]!r} -> {loss!r}")
+            last[m] = loss
+            steps.append((tree, log_c, loss, w0, w1))
+        yield steps
 
 
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
                n_trees: int) -> EnsembleModel:
-    """n_trees trees of _boost on the full sample's cells; the offset
-    accumulates the rebalance shifts."""
+    """n_trees trees of _boost on the full sample's cells, as its one
+    member; the offset accumulates the rebalance shifts."""
     bins0, _, counts0 = _cells(grid, data.sample0)
     bins1, _, counts1 = _cells(grid, data.sample1)
     trees, offset, losses = [], 0.0, [2.0]
-    for tree, log_c, loss, _, _ in _boost(bins0, counts0, bins1, counts1, grid.cuts,
-                                          config, n_trees):
+    for [(tree, log_c, loss, _, _)] in _boost([(bins0, counts0, bins1, counts1)],
+                                              grid.cuts, config, n_trees):
         trees.append(tree)
         offset += log_c
         losses.append(loss)
@@ -421,7 +470,8 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
     training counts, the full counts minus its held-out counts; its cells
     without training rows are routed through its trees too, so every cell
     has the fold's log w, and the held-out loss weights it by the cells'
-    held-out counts."""
+    held-out counts. The folds are the members of one _boost run, so each
+    split search covers a depth of every fold's tree."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
@@ -429,12 +479,13 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
     folds1 = np.array_split(rng.permutation(data.n1), config.cv_folds)
     bins0, inverse0, counts0 = _cells(grid, data.sample0)
     bins1, inverse1, counts1 = _cells(grid, data.sample1)
+    folds = [_fold(bins0, inverse0, counts0, held0) + _fold(bins1, inverse1, counts1, held1)
+             for held0, held1 in zip(folds0, folds1)]
+    members = [(b0, train0, b1, train1) for b0, train0, _, b1, train1, _ in folds]
     curves = np.full((config.cv_folds, config.max_trees + 1), 2.0)
-    for f in range(config.cv_folds):
-        b0, train0, held0 = _fold(bins0, inverse0, counts0, folds0[f])
-        b1, train1, held1 = _fold(bins1, inverse1, counts1, folds1[f])
-        steps = _boost(b0, train0, b1, train1, grid.cuts, config, config.max_trees)
-        for k, (_, _, _, logw0, logw1) in enumerate(steps, start=1):
+    steps = _boost(members, grid.cuts, config, config.max_trees)
+    for k, step in enumerate(steps, start=1):
+        for f, ((*_, logw0, logw1), (_, _, held0, _, _, held1)) in enumerate(zip(step, folds)):
             curves[f, k] = finite_sample_loss(logw0, logw1, held0, held1)
     return curves.mean(axis=0)
 

@@ -131,12 +131,12 @@ class DecisionTree:
             right.append(-1)
             if "beta" in node:
                 feature.append(-1)
-                value.append(float(node["beta"]))
+                value.append(json_float(node["beta"], "beta"))
             else:
                 stack.append((node["right"], len(feature)))
                 stack.append((node["left"], -1))
                 feature.append(json_int(node["dim"], "split dimension"))
-                value.append(float(node["threshold"]))
+                value.append(json_float(node["threshold"], "threshold"))
         return cls(feature, right, value, dim)
 
 
@@ -145,6 +145,17 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
     return value
+
+
+def json_float(value, name: str) -> float:
+    """value as a float, if it is a number as JSON reads one: an int or a
+    float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _to_dict(feature, right, value, i) -> dict:

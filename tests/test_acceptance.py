@@ -113,8 +113,8 @@ def _gb_bench(n0, n1, replicates=5, base_seed=0, floors=False):
             path = [symmetrized_mse(truth, 2 * logw, n0, n1)]
             bins0, _, counts0 = _cells(grid, data.sample0)
             bins1, _, counts1 = _cells(grid, data.sample1)
-            for tree, log_c, *_ in _boost(bins0, counts0, bins1, counts1, grid.cuts,
-                                          config, config.max_trees):
+            for [(tree, log_c, *_)] in _boost([(bins0, counts0, bins1, counts1)],
+                                              grid.cuts, config, config.max_trees):
                 logw[:] += config.learning_rate * tree.evaluate_many(points) + log_c
                 path.append(symmetrized_mse(truth, 2 * logw, n0, n1))
             row += [min(path), _textbook_boost_floor(data, truth, config)]

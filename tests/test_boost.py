@@ -98,19 +98,26 @@ class TestSingleStepOracle:
         assert predict_log_ratio(model, x)[0] == pytest.approx(expected)
 
 
-def _level_search(grower, m0, m1, live0, slot0, live1, slot1, nodes):
+def _row_grower(b0, b1, cuts, min_leaf, algorithm, max_depth=4):
+    """A _Grower of one member whose cells each hold one row."""
+    return _Grower([(b0, np.ones(b0.shape[0]), b1, np.ones(b1.shape[0]))], cuts,
+                   max_depth, min_leaf, algorithm)
+
+
+def _level_search(grower, m0, m1, live0, slot0, live1, slot1, nodes, root=False):
     """grower.search on one depth's live cells: each node's (dim, cut), or
-    None where the node has no valid split."""
+    None where the node has no valid split. With root, the search takes the
+    root's row counts that the grower keeps."""
     w0, w1 = m0[live0], m1[live1]
     dim, cut = grower.search(live0, slot0, w0, np.bincount(slot0, w0, nodes),
-                             live1, slot1, w1, np.bincount(slot1, w1, nodes), nodes)
+                             live1, slot1, w1, np.bincount(slot1, w1, nodes), nodes, root)
     return [None if d < 0 else (d, c) for d, c in zip(dim.tolist(), cut.tolist())]
 
 
-def _one_node_search(grower, m0, m1, idx0, idx1):
+def _one_node_search(grower, m0, m1, idx0, idx1, root=False):
     """The level search with one live node, holding cells idx0 and idx1."""
     zero0, zero1 = np.zeros(idx0.size, np.intp), np.zeros(idx1.size, np.intp)
-    return _level_search(grower, m0, m1, idx0, zero0, idx1, zero1, 1)[0]
+    return _level_search(grower, m0, m1, idx0, zero0, idx1, zero1, 1, root)[0]
 
 
 class TestSplitSearch:
@@ -157,10 +164,12 @@ class TestSplitSearch:
             m1 = rng.uniform(0.5, 2.0, n1) / n1
             res0 = m0 if gb else None
             res1 = -m1 if gb else None
-            grower = _Grower(b0, b1, None, None, grid.cuts, 4, 5, "gb" if gb else "fs")
+            grower = _row_grower(b0, b1, grid.cuts, 5, "gb" if gb else "fs")
             got = _one_node_search(grower, m0, m1, np.arange(n0), np.arange(n1))
             want = self._brute_force(b0, b1, m0, m1, res0, res1, 7, 5)
             assert got == want
+            assert _one_node_search(grower, m0, m1, np.arange(n0), np.arange(n1),
+                                    root=True) == want
 
     @staticmethod
     def _oracle(x0, x1, cuts, m0, m1, res0, res1, min_leaf):
@@ -209,8 +218,8 @@ class TestSplitSearch:
             m1 = gen.uniform(0.5, 2.0, n1) / n1
             idx0 = np.sort(gen.choice(n0, size=n0 * 3 // 4, replace=False))
             idx1 = np.sort(gen.choice(n1, size=n1 * 3 // 4, replace=False))
-            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), None, None, cuts,
-                             4, 5, "gb" if gb else "fs")
+            grower = _row_grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 5,
+                                 "gb" if gb else "fs")
             got = _one_node_search(grower, m0, m1, idx0, idx1)
             r0, r1 = (m0[idx0], -m1[idx1]) if gb else (None, None)
             want = self._oracle(s0[idx0], s1[idx1], cuts, m0[idx0], m1[idx1], r0, r1, 5)
@@ -241,14 +250,15 @@ class TestSplitSearch:
                 cb0, _, inv0 = grid.cells(b0)
                 cb1, _, inv1 = grid.cells(b1)
                 assert cb0.shape[0] < n0 // 2 and cb1.shape[0] < n1 // 2
-                grower = _Grower(cb0, cb1, np.bincount(inv0).astype(float),
-                                 np.bincount(inv1).astype(float), grid.cuts, 4, min_leaf,
-                                 "gb" if gb else "fs")
+                grower = _Grower([(cb0, np.bincount(inv0).astype(float),
+                                   cb1, np.bincount(inv1).astype(float))],
+                                 grid.cuts, 4, min_leaf, "gb" if gb else "fs")
                 cm0 = np.bincount(inv0, weights=m0)
                 cm1 = np.bincount(inv1, weights=m1)
-                got = _one_node_search(grower, cm0, cm1, np.arange(cb0.shape[0]),
-                                       np.arange(cb1.shape[0]))
-                assert got == self._brute_force(b0, b1, m0, m1, res0, res1, 5, min_leaf)
+                want = self._brute_force(b0, b1, m0, m1, res0, res1, 5, min_leaf)
+                for root in (False, True):
+                    assert _one_node_search(grower, cm0, cm1, np.arange(cb0.shape[0]),
+                                            np.arange(cb1.shape[0]), root) == want
 
                 cells0 = np.sort(rng.choice(cb0.shape[0], cb0.shape[0] * 3 // 4, replace=False))
                 cells1 = np.sort(rng.choice(cb1.shape[0], cb1.shape[0] * 3 // 4, replace=False))
@@ -280,8 +290,8 @@ class TestSplitSearch:
             node1 = gen.integers(-1, 3, n1)
             node0[:2] = node1[0] = 3
             live0, live1 = np.flatnonzero(node0 >= 0), np.flatnonzero(node1 >= 0)
-            grower = _Grower(grid.bin_indices(s0), grid.bin_indices(s1), None, None, cuts,
-                             4, 5, "gb" if gb else "fs")
+            grower = _row_grower(grid.bin_indices(s0), grid.bin_indices(s1), cuts, 5,
+                                 "gb" if gb else "fs")
             got = _level_search(grower, m0, m1, live0, node0[live0], live1, node1[live1], 4)
             for node in range(3):
                 r0, r1 = node0 == node, node1 == node
@@ -441,13 +451,13 @@ class TestCellFit:
     def _row_fit(data, grid, config, n_trees):
         """The boosting loop on rows: one log w per row, and a grower given
         no counts."""
-        grower = _Grower(grid.bin_indices(data.sample0), grid.bin_indices(data.sample1),
-                         None, None, grid.cuts, config.max_depth, config.min_leaf_total,
-                         config.algorithm)
+        grower = _row_grower(grid.bin_indices(data.sample0), grid.bin_indices(data.sample1),
+                             grid.cuts, config.min_leaf_total, config.algorithm,
+                             config.max_depth)
         logw0, logw1 = np.zeros(data.n0), np.zeros(data.n1)
         trees, offset, losses = [], 0.0, [2.0]
         for _ in range(n_trees):
-            tree, c0, c1 = grower.grow(*row_masses(logw0, logw1))
+            [(tree, c0, c1)] = grower.grow(*row_masses(logw0, logw1))
             logw0 += config.learning_rate * c0
             logw1 += config.learning_rate * c1
             log_c, loss = rebalance(logw0, logw1)
@@ -659,21 +669,29 @@ class TestCrossValidation:
         assert calls == ["bin_indices", "bin_indices"]
 
     @staticmethod
-    def _fold_runs(data, grid, config):
-        """Per fold: the held-out row masks, and _boost on the fold's cells
-        of the full sample's cell map, as cv_loss_curve runs it."""
+    def _folds(data, grid, config):
+        """Per fold, as cv_loss_curve builds them: the held-out row masks,
+        the fold's member for _boost (its cells of the full sample's cell
+        map, with their training counts) and its held-out counts."""
         gen = np.random.default_rng(config.seed)
         folds0 = np.array_split(gen.permutation(data.n0), config.cv_folds)
         folds1 = np.array_split(gen.permutation(data.n1), config.cv_folds)
         bins0, inverse0, counts0 = _cells(grid, data.sample0)
         bins1, inverse1, counts1 = _cells(grid, data.sample1)
         for f in range(config.cv_folds):
-            b0, train0, _ = _fold(bins0, inverse0, counts0, folds0[f])
-            b1, train1, _ = _fold(bins1, inverse1, counts1, folds1[f])
+            b0, train0, held0 = _fold(bins0, inverse0, counts0, folds0[f])
+            b1, train1, held1 = _fold(bins1, inverse1, counts1, folds1[f])
             ho0 = np.isin(np.arange(data.n0), folds0[f])
             ho1 = np.isin(np.arange(data.n1), folds1[f])
-            yield ho0, ho1, (b0, train0, b1, train1), _boost(
-                b0, train0, b1, train1, grid.cuts, config, config.max_trees)
+            yield ho0, ho1, (b0, train0, b1, train1), (held0, held1)
+
+    @classmethod
+    def _fold_runs(cls, data, grid, config):
+        """Per fold: the held-out row masks, the fold's member, and the steps
+        of _boost on that member alone."""
+        for ho0, ho1, member, _ in cls._folds(data, grid, config):
+            yield ho0, ho1, member, (step for [step] in _boost(
+                [member], grid.cuts, config, config.max_trees))
 
     def test_20d_folds_equal_fits_on_their_own_rows(self):
         """In 20-D every row is its own cell, so a fold on the shared cell
@@ -719,6 +737,60 @@ class TestCrossValidation:
                 w += config.learning_rate * tree.evaluate_many(X)
                 w += log_c
                 np.testing.assert_array_equal(got[n:], w)
+
+    @staticmethod
+    def _duplicated_rows(config):
+        """The first 6 dimensions of LatentLocation20D 600/400, seed 3, where
+        no two rows share a cell of 31 cuts per dimension, with 100 rows of
+        group 0 added again at the end. Each added row repeats a row that
+        config's fold 1 holds out, so fold 1's training cells each hold one
+        row, while the other folds train on cells of two rows."""
+        data = generate(make_scenario("LatentLocation20D"), 600, 400, seed=3)
+        s0, s1 = data.sample0[:, :6], data.sample1[:, :6]
+        held = np.array_split(np.random.default_rng(config.seed).permutation(700),
+                              config.cv_folds)[1]
+        return TwoSampleDataset(np.vstack([s0, s0[held[held < 600][:100]]]), s1)
+
+    @pytest.mark.parametrize("case", ["GlobalShift2D", "LatentLocation20D", "duplicated row"])
+    def test_batched_folds_equal_lone_runs(self, case):
+        """cv_loss_curve boosts its folds as the members of one _boost run.
+        Each fold's trees, log_c and log w, step by step, and the curve
+        equal, bit for bit, those of _boost on each fold alone: on a 2-D
+        sample with cells that only held-out rows occupy, on a 20-D sample
+        where every cell holds one row, and on folds with and without cells
+        of two rows."""
+        config = BoostConfig(algorithm="gb", max_trees=20, seed=3)
+        if case == "duplicated row":
+            data = self._duplicated_rows(config)
+        else:
+            data = generate(make_scenario(case), 600, 400, seed=3)
+        grid = build_cut_grid(data, 31)
+        folds = list(self._folds(data, grid, config))
+        if case == "GlobalShift2D":
+            assert all((member[1] == 0).any() for _, _, member, _ in folds)
+        if case == "duplicated row":
+            assert [member[1].max() for _, _, member, _ in folds] == [2, 1, 2, 2, 2]
+        batched = [[(tree, log_c, loss, w0.copy(), w1.copy())
+                    for tree, log_c, loss, w0, w1 in step]
+                   for step in _boost([member for _, _, member, _ in folds], grid.cuts,
+                                      config, config.max_trees)]
+        curves = []
+        for f, (_, _, member, (held0, held1)) in enumerate(folds):
+            curve, sums = [2.0], [0.0, 0.0]
+            for k, [lone] in enumerate(_boost([member], grid.cuts, config, config.max_trees)):
+                tree, log_c, loss, w0, w1 = batched[k][f]
+                for name in ("feature", "right", "value"):
+                    np.testing.assert_array_equal(getattr(tree, name), getattr(lone[0], name))
+                assert (log_c, loss) == lone[1:3]
+                np.testing.assert_array_equal(w0, lone[3])
+                np.testing.assert_array_equal(w1, lone[4])
+                sums[0] += log_c
+                sums[1] += lone[1]
+                curve.append(finite_sample_loss(lone[3], lone[4], held0, held1))
+            assert sums[0] == sums[1]
+            curves.append(curve)
+        np.testing.assert_array_equal(cv_loss_curve(data, grid, config),
+                                      np.array(curves).mean(axis=0))
 
     def test_too_few_observations_for_folds(self):
         data = TwoSampleDataset(np.array([[0.0], [1.0]]),

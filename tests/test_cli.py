@@ -402,6 +402,15 @@ class TestMalformedModel:
                            "malformed value (split dimension True is not an integer)"),
         "child not a node": (lambda d: TestMalformedModel._split_node(d).update(left=3),
                              "malformed value ("),
+        "bool nu": (lambda d: d.update(nu=True), "malformed value (nu True is not a number)"),
+        "bool offset": (lambda d: d.update(offset=False),
+                        "malformed value (offset False is not a number)"),
+        "string threshold": (lambda d: TestMalformedModel._split_node(d).update(threshold="0.5"),
+                             "malformed value (threshold '0.5' is not a number)"),
+        "string beta": (lambda d: TestMalformedModel._leaf(d).update(beta="0.1"),
+                        "malformed value (beta '0.1' is not a number)"),
+        "huge integer beta": (lambda d: TestMalformedModel._leaf(d).update(beta=10**400),
+                              "malformed value (beta is an integer too large for a float)"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))

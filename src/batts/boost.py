@@ -144,92 +144,83 @@ def predict_log_ratio(model: EnsembleModel, points: np.ndarray) -> np.ndarray:
 
 class _Grower:
     """Greedy tree construction shared by the FS and GB criteria, over the
-    occupied grid cells of each group (see CutGrid.cells), one depth at a
+    occupied grid cells of both groups (see CutGrid.cells), one depth at a
     time.
 
     Rows of one cell fall in the same child of every split, so a cell is
     grown as one entry with its row count and the summed mass of its rows.
-    The cells' training row counts weight the count histograms, which are
-    unweighted where every training cell holds one row.
+    The cells' training row counts weight the count histogram, which is
+    unweighted where every training cell of both groups holds one row.
 
     One grow builds one tree for each member, an independent boosting run
     given as (bins0, counts0, bins1, counts1) with the cells that have
-    training rows first. The members' cells of each group share one stack:
-    every member's training cells, member by member and each member's in its
-    own order, then every member's cells without training rows. Member m's
-    cells enter with slot m, so its root is node m of depth 0.
-    At each depth the live cells, those of nodes that may still split, are
-    kept in stack order with the slot of their node among the depth's nodes,
-    and split search scores every (node, dimension, cut) of the depth at
-    once. Each (slot, dimension, bin) triple is one histogram bucket, with
-    key (slot * dims + dim) * width + bin, where width is one more than the
-    largest cut count; so one bincount per histogram covers every node and
-    dimension of every member, each bucket adds its cells in the order of a
-    member grown alone, and cumulative sums along each (node, dimension) row
-    give the left-child totals of its cuts. The root's count histograms are
-    the same for every tree, so they are taken once, in __init__.
+    training rows first. All members' cells of both groups share one stack:
+    group 0's training cells, member by member and each member's in its own
+    order, then group 1's, then the cells without training rows in that same
+    order. Member m's cells enter with slot m, so its root is node m of
+    depth 0. At each depth the live cells, those of nodes that may still
+    split, are kept in stack order with the slot of their node among the
+    depth's nodes, and split search scores every (node, dimension, cut) of
+    the depth at once. Each (slot, group, dimension, bin) is one histogram
+    bucket, with key ((slot * 2 + group) * dims + dim) * width + bin, where
+    width is one more than the largest cut count; so one bincount per
+    quantity covers every node, group and dimension of every member, each
+    bucket adds its cells in the order of one group of a member grown alone,
+    and cumulative sums along each (node, group, dimension) row give the
+    left-child totals of its cuts, and in its last bin the node's total.
+    The root's count histogram is the same for every tree, so it is taken
+    once, in __init__.
     The fs criterion scores a split by the affinity of its children's masses,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
-    -m1 (see loss.row_masses), both from the two mass histograms. Children
-    with rows from only one group, or with fewer than min_leaf_total pooled
-    rows, are refused; the count histograms are weighted by the cell counts,
-    so both rules count rows, not cells. That also refuses the cut indices
-    past a dimension's own cut count, which send every row left. A node with
-    no valid split, or at max_depth, becomes a leaf.
+    -m1 (see loss.row_masses), both from the mass histogram. Children with
+    rows from only one group, or with fewer than min_leaf_total pooled rows,
+    are refused; the count histogram is weighted by the cell counts, so both
+    rules count rows, not cells. That also refuses the cut indices past a
+    dimension's own cut count, which send every row left. A node with no
+    valid split, or at max_depth, becomes a leaf.
     """
 
     def __init__(self, members, cuts, max_depth, min_leaf_total, algorithm):
         self.width = max(len(c) for c in cuts) + 1
-        offsets = np.arange(len(cuts)) * self.width
-        bins0, counts0, self.slots0, self.rows0 = _stack([m[:2] for m in members])
-        bins1, counts1, self.slots1, self.rows1 = _stack([m[2:] for m in members])
-        self.keys0 = bins0 + offsets
-        self.keys1 = bins1 + offsets
+        self.keys, counts, self.slots, self.rows, self.train0 = _stack(members, self.width)
         # each depth's live keys and repeated weights are written here, not
         # into fresh arrays: in 20-D those are hundreds of KB, and the
         # allocator hands such pages back and faults them in again each depth
-        self.kbuf0, self.kbuf1 = np.empty_like(self.keys0), np.empty_like(self.keys1)
-        self.wbuf0, self.wbuf1 = np.empty(self.keys0.shape), np.empty(self.keys1.shape)
-        self.counts0 = _unit(counts0)
-        self.counts1 = _unit(counts1)
+        self.kbuf = np.empty_like(self.keys)
+        self.wbuf = np.empty(self.keys.shape)
+        self.counts = _unit(counts)
         self.cuts = cuts
         self.members = len(members)
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
         self.gb = algorithm == "gb"
-        live0, live1 = np.arange(counts0.size), np.arange(counts1.size)
-        slot0, slot1 = self.slots0[:live0.size], self.slots1[:live1.size]
+        live = np.arange(counts.size)
         self.root_counts = self._split_counts(
-            self._keys(self.keys0, self.kbuf0, live0, slot0, self.members), live0, slot0,
-            self._keys(self.keys1, self.kbuf1, live1, slot1, self.members), live1, slot1,
-            self.members)
+            self._keys(live, self.slots[:live.size], self.members), live, self.members)
 
-    def grow(self, m0, m1):
+    def grow(self, masses):
         """Returns (tree, contrib0, contrib1) for each member: its tree and
-        the leaf betas of its cells.
+        the leaf betas of its cells in each group.
 
-        m0/m1 are the masses of loss.row_masses on each member's training
-        cells, member by member: the stack's training cells. The cells past
-        them are routed to their leaves, but left out of every histogram.
-        The live cells stay in ascending order, so each depth's cells with
-        masses are a prefix of its live cells.
+        masses holds loss.row_masses on the stack's training cells: every
+        member's group-0 masses, member by member, then their group-1 masses.
+        The cells past them are routed to their leaves, but left out of every
+        histogram. The live cells stay in ascending order, so each depth's
+        cells with masses are a prefix of its live cells, group 0's first.
         """
-        n0, n1 = self.keys0.shape[0], self.keys1.shape[0]
-        contrib0, contrib1 = np.empty(n0), np.empty(n1)
-        live0, live1 = np.arange(n0), np.arange(n1)
-        slot0, slot1 = self.slots0, self.slots1
+        contrib = np.empty(self.keys.shape[0])
+        live, slot = np.arange(contrib.size), self.slots
         # the nodes in breadth-first order: split dimension (-1 at a leaf),
         # threshold or beta, and the first of the two children
         feature, value, child = [], [], []
         nodes = self.members
         for depth in range(self.max_depth + 1):
-            h0, h1 = live0.searchsorted(m0.size), live1.searchsorted(m1.size)
-            w0, w1 = m0[live0[:h0]], m1[live1[:h1]]
-            p = np.bincount(slot0[:h0], weights=w0, minlength=nodes)
-            q = np.bincount(slot1[:h1], weights=w1, minlength=nodes)
+            g, h = live.searchsorted([self.train0, masses.size]).tolist()
+            w = masses[live[:h]]
+            p = np.bincount(slot[:g], weights=w[:g], minlength=nodes)
+            q = np.bincount(slot[g:h], weights=w[g:], minlength=nodes)
             if depth < self.max_depth:
-                dim, cut = self.search(live0[:h0], slot0[:h0], w0, p,
-                                       live1[:h1], slot1[:h1], w1, q, nodes, depth == 0)
+                dim, cut = self.search(live[:h], slot[:h], w, p, q, nodes, depth == 0)
             else:
                 dim = cut = np.full(nodes, -1)
             leaf = dim < 0
@@ -245,30 +236,19 @@ class _Grower:
                 value.append(b if d < 0 else float(self.cuts[d][j]))
                 child.append(-1 if d < 0 else first + c)
             if leaf.all():
-                contrib0[live0] = beta[slot0]
-                contrib1[live1] = beta[slot1]
+                contrib[live] = beta[slot]
                 break
-            split_key = dim * self.width + cut
-            live0, slot0 = self._route(self.keys0, contrib0, live0, slot0, leaf, beta,
-                                       dim, split_key, child_slot)
-            live1, slot1 = self._route(self.keys1, contrib1, live1, slot1, leaf, beta,
-                                       dim, split_key, child_slot)
+            if leaf.any():  # the cells of leaf nodes get their beta
+                done = leaf[slot]
+                contrib[live[done]] = beta[slot[done]]
+                stay = ~done
+                live, slot = live[stay], slot[stay]
+            # a stored key is its bin plus a multiple of width
+            right = self.keys[live, dim[slot]] % self.width > cut[slot]
+            slot = child_slot[slot] + right
             nodes = 2 * (nodes - int(np.count_nonzero(leaf)))
-        return [(self._preorder(feature, value, child, m), contrib0[r0], contrib1[r1])
-                for m, (r0, r1) in enumerate(zip(self.rows0, self.rows1))]
-
-    @staticmethod
-    def _route(keys, contrib, live, slot, leaf, beta, dim, split_key, child_slot):
-        """Give the cells of leaf nodes their beta, and send the others to
-        their node's left or right child: the next depth's live cells and
-        slots."""
-        if leaf.any():
-            done = leaf[slot]
-            contrib[live[done]] = beta[slot[done]]
-            stay = ~done
-            live, slot = live[stay], slot[stay]
-        right = keys[live, dim[slot]] > split_key[slot]
-        return live, child_slot[slot] + right
+        return [(self._preorder(feature, value, child, m), contrib[r0], contrib[r1])
+                for m, (r0, r1) in enumerate(self.rows)]
 
     def _preorder(self, feature, value, child, root):
         """The tree under node root of the breadth-first node lists, in
@@ -287,22 +267,20 @@ class _Grower:
                 stack.append((child[n], -1))
         return DecisionTree(pre_feature, pre_right, pre_value, len(self.cuts))
 
-    def search(self, live0, slot0, w0, p, live1, slot1, w1, q, nodes, root):
+    def search(self, live, slot, w, p, q, nodes, root):
         """The best split of each of the depth's nodes, as (dim, cut) arrays
         with dim -1 where a node has no valid split.
 
-        live/slot are the live cells and their node's slot, w their masses,
-        and p/q the nodes' mass totals; root is true at depth 0. The first
-        (dim, cut) in row-major order wins ties.
+        live/slot are the live cells with masses and their node's slot, w
+        their masses, and p/q the nodes' mass totals in each group; root is
+        true at depth 0. The first (dim, cut) in row-major order wins ties.
         """
-        k0 = self._keys(self.keys0, self.kbuf0, live0, slot0, nodes)
-        k1 = self._keys(self.keys1, self.kbuf1, live1, slot1, nodes)
-        valid, found, lc, rc = self.root_counts if root else self._split_counts(
-            k0, live0, slot0, k1, live1, slot1, nodes)
+        k = self._keys(live, slot, nodes)
+        valid, found, lc, rc = self.root_counts if root else self._split_counts(k, live, nodes)
         if not found.any():
             return np.full(nodes, -1), np.full(nodes, -1)
-        lp = self._left_totals(k0, self._repeat(w0, self.wbuf0), nodes)
-        lq = self._left_totals(k1, self._repeat(w1, self.wbuf1), nodes)
+        left = self._totals(k, self._repeat(w), nodes)[..., :-1]
+        lp, lq = left[:, 0], left[:, 1]
         p = p[:, None, None]
         q = q[:, None, None]
         if self.gb:
@@ -320,54 +298,45 @@ class _Grower:
         dim[~found] = -1
         return dim, cut
 
-    def _split_counts(self, k0, live0, slot0, k1, live1, slot1, nodes):
+    def _split_counts(self, keys, live, nodes):
         """(valid, found, left, right): which (node, dim, cut) splits pass the
         row-count rules, which nodes have one, and the pooled row counts of
         each split's children."""
-        lc0, n0 = self._counts(k0, self.wbuf0, self.counts0, live0, slot0, nodes)
-        lc1, n1 = self._counts(k1, self.wbuf1, self.counts1, live1, slot1, nodes)
-        rc0 = n0 - lc0
-        rc1 = n1 - lc1
+        weights = None if self.counts is None else self._repeat(self.counts[live])
+        totals = self._totals(keys, weights, nodes)
+        left = totals[..., :-1]
+        right = totals[..., -1:] - left
+        lc, rc = left[:, 0] + left[:, 1], right[:, 0] + right[:, 1]
         valid = (
-            (lc0 >= 1) & (lc1 >= 1) & (rc0 >= 1) & (rc1 >= 1)
-            & (lc0 + lc1 >= self.min_leaf_total)
-            & (rc0 + rc1 >= self.min_leaf_total)
+            (left >= 1).all(axis=1) & (right >= 1).all(axis=1)
+            & (lc >= self.min_leaf_total) & (rc >= self.min_leaf_total)
         ).reshape(nodes, -1)
-        return valid, valid.any(axis=1), lc0 + lc1, rc0 + rc1
+        return valid, valid.any(axis=1), lc, rc
 
-    def _keys(self, keys, buf, live, slot, nodes):
+    def _keys(self, live, slot, nodes):
         """The live cells' histogram keys, offset by their node's slot, in
-        buf."""
+        the key buffer."""
         # live indices are in range; mode "raise" would gather into a
-        # temporary first and copy it into buf
-        k = np.take(keys, live, axis=0, out=buf[:live.size], mode="clip")
+        # temporary first and copy it into the buffer
+        k = np.take(self.keys, live, axis=0, out=self.kbuf[:live.size], mode="clip")
         if nodes > 1:  # every slot is 0 at the root
-            k += (slot * (k.shape[1] * self.width))[:, None]
+            k += (slot * (2 * k.shape[1] * self.width))[:, None]
         return k
 
-    def _left_totals(self, keys, weights, nodes):
-        """(nodes, dims, cuts) array: the sum of weights (or the count) of
-        each node's cells routed left of each cut."""
+    def _totals(self, keys, weights, nodes):
+        """(nodes, 2, dims, width) array: the sum of weights (or the count)
+        of each node's cells of each group in bins 0..b of each dimension,
+        so entry b is the total left of cut b and the last the node's."""
         d = keys.shape[1]
-        hist = np.bincount(keys.ravel(), weights=weights, minlength=nodes * d * self.width)
-        return np.cumsum(hist.reshape(nodes, d, self.width), axis=2)[:, :, :-1]
+        hist = np.bincount(keys.ravel(), weights=weights, minlength=nodes * 2 * d * self.width)
+        return np.cumsum(hist.reshape(nodes, 2, d, self.width), axis=3)
 
-    @staticmethod
-    def _repeat(w, buf):
-        """np.repeat(w, dims) in buf: each cell's weight once per dimension."""
-        out = buf[:w.size]
+    def _repeat(self, w):
+        """np.repeat(w, dims) in the weight buffer: each cell's weight once
+        per dimension."""
+        out = self.wbuf[:w.size]
         out[...] = w[:, None]
         return out.ravel()
-
-    def _counts(self, keys, buf, counts, live, slot, nodes):
-        """The row counts left of each cut, and each node's row count, as
-        (nodes, 1, 1)."""
-        if counts is None:
-            return (self._left_totals(keys, None, nodes),
-                    np.bincount(slot, minlength=nodes)[:, None, None])
-        c = counts[live]
-        return (self._left_totals(keys, self._repeat(c, buf), nodes),
-                np.bincount(slot, weights=c, minlength=nodes)[:, None, None])
 
 
 def _cells(grid: CutGrid, X: np.ndarray):
@@ -381,17 +350,24 @@ def _unit(counts):
     return None if (counts == 1).all() else counts
 
 
-def _stack(cells):
-    """One group's (bins, counts) of every member on one stack (see _Grower),
-    as (bins, training counts, slots, rows): slots holds each stacked cell's
-    member, and rows[m] the stack indices of member m's cells, in its order."""
-    bins, counts = zip(*cells)
-    sizes = [c.size for c in counts]
-    counts = np.concatenate(counts)
+def _stack(members, width):
+    """Every member's cells of both groups on one stack (see _Grower), as
+    (keys, training counts, slots, rows, train0): keys holds each stacked
+    cell's bins offset by its group and dimension, slots its member, rows[m]
+    the stack indices of member m's group-0 and group-1 cells in its order,
+    and train0 the number of group-0 training cells."""
+    bins0, counts0, bins1, counts1 = zip(*members)
+    sizes = [c.size for c in counts0 + counts1]
+    counts = np.concatenate(counts0 + counts1)
+    dims = bins0[0].shape[1]
+    group = np.repeat([0, 1], [sum(sizes[:len(members)]), sum(sizes[len(members):])])
+    keys = np.concatenate(bins0 + bins1) + (group[:, None] * dims + np.arange(dims)) * width
     order = np.argsort(counts == 0, kind="stable")
-    slots = np.repeat(np.arange(len(sizes)), sizes)[order]
+    slots = np.repeat(np.tile(np.arange(len(members)), 2), sizes)[order]
     rows = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
-    return np.concatenate(bins)[order], counts[order[:np.count_nonzero(counts)]], slots, rows
+    return (keys[order], counts[order[:np.count_nonzero(counts)]], slots,
+            list(zip(rows[:len(members)], rows[len(members):])),
+            sum(np.count_nonzero(c) for c in counts0))
 
 
 def _boost(members, cuts, config: BoostConfig, n_trees: int):
@@ -420,7 +396,7 @@ def _boost(members, cuts, config: BoostConfig, n_trees: int):
     last = [2.0] * len(members)
     for _ in range(n_trees):
         m0, m1 = zip(*[row_masses(t0, t1, c0, c1) for _, _, t0, t1, c0, c1 in runs])
-        grown = grower.grow(np.concatenate(m0), np.concatenate(m1))
+        grown = grower.grow(np.concatenate(m0 + m1))
         steps = []
         for m, ((tree, f0, f1), (w0, w1, t0, t1, c0, c1)) in enumerate(zip(grown, runs)):
             w0 += nu * f0

@@ -315,6 +315,8 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected fs/gb/bayes")
+    if not sizes or not methods:
+        raise ValueError("--sizes and --methods must each name at least one entry")
     if args.replicates < 1:
         raise ValueError("--replicates must be >= 1")
     if "bayes" in methods and args.bayes_draws < 1:

@@ -210,6 +210,8 @@ def symmetrized_mse(true_lr: np.ndarray, est_lr: np.ndarray,
     1/(2 n0) and 1/(2 n1); rows 0..n0-1 belong to group 0."""
     true_lr = np.asarray(true_lr, dtype=np.float64).ravel()
     est_lr = np.asarray(est_lr, dtype=np.float64).ravel()
+    if n0 < 1 or n1 < 1:
+        raise ValueError(f"n0 and n1 must be >= 1, got {n0} and {n1}")
     if true_lr.size != est_lr.size:
         raise ValueError("true and estimated log-ratio vectors differ in length")
     if true_lr.size != n0 + n1:

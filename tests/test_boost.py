@@ -105,12 +105,15 @@ def _row_grower(b0, b1, cuts, min_leaf, algorithm, max_depth=4):
 
 
 def _level_search(grower, m0, m1, live0, slot0, live1, slot1, nodes, root=False):
-    """grower.search on one depth's live cells: each node's (dim, cut), or
-    None where the node has no valid split. With root, the search takes the
-    root's row counts that the grower keeps."""
-    w0, w1 = m0[live0], m1[live1]
-    dim, cut = grower.search(live0, slot0, w0, np.bincount(slot0, w0, nodes),
-                             live1, slot1, w1, np.bincount(slot1, w1, nodes), nodes, root)
+    """grower.search on one depth's live cells of each group, put on the
+    grower's one stack: each node's (dim, cut), or None where the node has no
+    valid split. With root, the search takes the root's row counts that the
+    grower keeps."""
+    live = np.concatenate([live0, live1 + m0.size])
+    slot = np.concatenate([slot0, slot1])
+    w = np.concatenate([m0, m1])[live]
+    dim, cut = grower.search(live, slot, w, np.bincount(slot0, m0[live0], nodes),
+                             np.bincount(slot1, m1[live1], nodes), nodes, root)
     return [None if d < 0 else (d, c) for d, c in zip(dim.tolist(), cut.tolist())]
 
 
@@ -176,7 +179,8 @@ class TestSplitSearch:
         """The first (dim, cut), in dimension then cut order, minimizing the
         split score over all valid candidates, each computed from scratch on
         float routing: hellinger_split_score for fs, and for gb the pooled
-        within-child sum of squares of the residuals."""
+        within-child sum of squares of the residuals. None if no candidate
+        is valid."""
         scores = {}
         for dim, c in enumerate(cuts):
             for j, t in enumerate(c):
@@ -193,6 +197,8 @@ class TestSplitSearch:
                     lab = np.concatenate([l0, l1])
                     scores[dim, j] = (((r[lab] - r[lab].mean()) ** 2).sum()
                                       + ((r[~lab] - r[~lab].mean()) ** 2).sum())
+        if not scores:
+            return None
         low = min(scores.values())
         # distinct partitions score far apart here; equal partitions tie exactly
         return next(k for k, v in scores.items() if v <= low + 1e-12 * abs(low))
@@ -233,14 +239,21 @@ class TestSplitSearch:
         counts and summed row masses, picks the (dim, cut) that the brute
         force and the float oracle pick on the rows: at the root, and at an
         interior node made of a random subset of cells. A min_leaf_total
-        above the cell count makes the refusals count rows."""
-        for min_leaf in (5, 40):
+        above the cell count makes the refusals count rows. With unit0,
+        group 0 keeps one row of each cell it occupies, so its cells each
+        hold one row beside group 1's cells of several, and the one count
+        histogram weights both groups."""
+        for unit0, min_leaf in ((False, 5), (False, 40), (True, 5), (True, 40)):
             for _ in range(8):
                 n0 = int(rng.integers(60, 120))
                 n1 = int(rng.integers(60, 120))
                 data = TwoSampleDataset(rng.standard_normal((n0, 2)),
                                         rng.standard_normal((n1, 2)) + 0.4)
                 grid = build_cut_grid(data, 5)
+                if unit0:
+                    first = grid.cells(grid.bin_indices(data.sample0))[1]
+                    data = TwoSampleDataset(data.sample0[first], data.sample1)
+                    n0 = data.n0
                 b0 = grid.bin_indices(data.sample0)
                 b1 = grid.bin_indices(data.sample1)
                 m0 = rng.uniform(0.5, 2.0, n0) / n0
@@ -249,7 +262,8 @@ class TestSplitSearch:
                 res1 = -m1 if gb else None
                 cb0, _, inv0 = grid.cells(b0)
                 cb1, _, inv1 = grid.cells(b1)
-                assert cb0.shape[0] < n0 // 2 and cb1.shape[0] < n1 // 2
+                assert cb0.shape[0] == n0 if unit0 else cb0.shape[0] < n0 // 2
+                assert cb1.shape[0] < n1 // 2
                 grower = _Grower([(cb0, np.bincount(inv0).astype(float),
                                    cb1, np.bincount(inv1).astype(float))],
                                  grid.cuts, 4, min_leaf, "gb" if gb else "fs")
@@ -457,7 +471,7 @@ class TestCellFit:
         logw0, logw1 = np.zeros(data.n0), np.zeros(data.n1)
         trees, offset, losses = [], 0.0, [2.0]
         for _ in range(n_trees):
-            [(tree, c0, c1)] = grower.grow(*row_masses(logw0, logw1))
+            [(tree, c0, c1)] = grower.grow(np.concatenate(row_masses(logw0, logw1)))
             logw0 += config.learning_rate * c0
             logw1 += config.learning_rate * c1
             log_c, loss = rebalance(logw0, logw1)

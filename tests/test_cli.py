@@ -61,6 +61,18 @@ class TestFitPredictEvaluate:
         )
         assert 0 < mse < zero_mse
 
+    @pytest.mark.parametrize("n0, n1", [("0", "3"), ("-1", "4")])
+    def test_evaluate_rejects_group_sizes_below_one(self, tmp_path, capsys, n0, n1):
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        np.savetxt(truth, np.zeros((3, 1)), delimiter=",")
+        np.savetxt(est, np.ones((3, 1)), delimiter=",")
+        code = dispatch(["evaluate", "--truth", str(truth), "--est", str(est),
+                         "--n0", n0, "--n1", n1])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n0 and n1 must be >= 1, got {n0} and {n1}\n"
+
     def test_cv_fit_selects_fewer_trees(self, tmp_path, capsys):
         s0, s1, _ = _simulate(tmp_path, n0=200, n1=200)
         model = tmp_path / "model.json"
@@ -209,6 +221,23 @@ class TestBench:
         assert dispatch(["bench", "--sizes", "balanced", "--methods", "xx",
                          "--out", str(out)]) == 1
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--methods", ""), ("--sizes", ","),
+                                             ("--sizes", "")])
+    def test_empty_sizes_or_methods_rejected_before_jobs(self, tmp_path, capsys, monkeypatch,
+                                                        flag, value):
+        started = []
+        monkeypatch.setattr(cli, "_bench_job", started.append)
+        out = tmp_path / "b.csv"
+        args = {"--sizes": "balanced", "--methods": "fs", flag: value}
+        code = dispatch(["bench", "--scenario", "GlobalShift2D", "--replicates", "2",
+                         "--threads", "1", "--out", str(out),
+                         *[x for item in args.items() for x in item]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --sizes and --methods must each name at least one entry\n")
+        assert started == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("replicates", ["0", "-1"])
     def test_replicates_below_one_rejected(self, tmp_path, capsys, replicates):

@@ -176,3 +176,8 @@ class TestSymmetrizedMse:
             symmetrized_mse(np.zeros(3), np.zeros(4), 2, 1)
         with pytest.raises(ValueError, match="expected 5"):
             symmetrized_mse(np.zeros(4), np.zeros(4), 2, 3)
+
+    @pytest.mark.parametrize("n0, n1", [(0, 3), (3, 0), (-1, 4), (4, -1)])
+    def test_group_sizes_below_one_rejected(self, n0, n1):
+        with pytest.raises(ValueError, match=f"n0 and n1 must be >= 1, got {n0} and {n1}"):
+            symmetrized_mse(np.zeros(3), np.ones(3), n0, n1)

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CutGrid, TwoSampleDataset
+from .data import CutGrid, TwoSampleDataset, utf8_fault
 from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_value,
                    rebalance, row_masses)
-from .tree import DecisionTree, json_float, json_int
+from .tree import DecisionTree, json_float, json_int, node_hook
 
 _LOSS_SLACK = 1e-12
 
@@ -72,10 +72,19 @@ class EnsembleModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} columns")
-        total = np.zeros(X.shape[0])
+        # The model's own thresholds cut the space into cells whose points
+        # meet the same leaves of every tree, so each cell is routed once, by
+        # its first point, and the sums are scattered back to its points.
+        grid = CutGrid(tuple(
+            # np.unique without return_index imports numpy.ma
+            np.unique(self.value[self.feature == j], return_index=True)[0]
+            for j in range(self.dim)))
+        _, first, inverse = grid.cells(grid.bin_indices(X))
+        firsts = X[first]
+        total = np.zeros(first.size)
         for tree in self.trees:
-            total += tree.evaluate_many(X)
-        return self.offset + self.learning_rate * total
+            total += tree.evaluate_many(firsts)
+        return self.offset + self.learning_rate * total[inverse]
 
     def save(self, path) -> None:
         doc = {
@@ -91,10 +100,16 @@ class EnsembleModel:
 
     @classmethod
     def load(cls, path) -> "EnsembleModel":
-        """Read a model written by save. A malformed file raises ValueError
-        naming the file and its first fault."""
-        with open(path) as fh:
-            doc = json.load(fh)
+        """Read a model written by save. A file that is not UTF-8 JSON, or a
+        malformed model, raises ValueError naming the file and its first
+        fault."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh, object_hook=node_hook)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"model file {path}: {utf8_fault(e)}") from None
+        except json.JSONDecodeError as e:
+            raise ValueError(f"model file {path}: not JSON ({e})") from None
         if not isinstance(doc, dict):
             raise ValueError(f"model file {path} must hold a JSON object")
         try:

@@ -132,23 +132,26 @@ def load_matrix(path) -> np.ndarray:
     """Read a headerless numeric CSV into an n x d array."""
     rows = []
     width = None
-    with open(path, "r") as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(
-                    f"ragged row {r} in {path}: expected {width} cells, got {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells) if not _is_float(c))
-                raise DataError(f"non-numeric cell at row {r}, col {bad} in {path}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for r, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if width is None:
+                    width = len(cells)
+                elif len(cells) != width:
+                    raise DataError(
+                        f"ragged row {r} in {path}: expected {width} cells, got {len(cells)}"
+                    )
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    bad = next(i for i, c in enumerate(cells) if not _is_float(c))
+                    raise DataError(f"non-numeric cell at row {r}, col {bad} in {path}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {utf8_fault(e)}") from None
     if not rows:
         raise DataError(f"empty input file: {path}")
     a = np.asarray(rows, dtype=np.float64)
@@ -157,6 +160,12 @@ def load_matrix(path) -> np.ndarray:
         r, c = bad[0]
         raise DataError(f"non-finite value at row {r}, col {c} in {path}")
     return a
+
+
+def utf8_fault(e: UnicodeDecodeError) -> str:
+    """A file's decoding fault in one line, without the codec's position,
+    which counts from the start of the chunk being decoded."""
+    return f"not UTF-8 text (byte 0x{e.object[e.start]:02x}: {e.reason})"
 
 
 def _is_float(s: str) -> bool:

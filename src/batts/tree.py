@@ -121,7 +121,9 @@ class DecisionTree:
         return _to_dict(self.feature.tolist(), self.right.tolist(), self.value.tolist(), 0)
 
     @classmethod
-    def from_dict(cls, d: dict, dim: int) -> "DecisionTree":
+    def from_dict(cls, d, dim: int) -> "DecisionTree":
+        """The tree of a node object as to_dict writes it, or as json.load
+        reads it with object_hook=node_hook."""
         feature, right, value = [], [], []
         stack = [(d, -1)]
         while stack:
@@ -129,15 +131,41 @@ class DecisionTree:
             if parent >= 0:  # node is the right child of parent
                 right[parent] = len(feature)
             right.append(-1)
-            if "beta" in node:
+            if type(node) is dict:
+                node = _node(node)
+            elif type(node) is not tuple:
+                raise ValueError(f"tree node {node!r} is not an object")
+            if len(node) == 1:
                 feature.append(-1)
-                value.append(json_float(node["beta"], "beta"))
+                value.append(json_float(node[0], "beta"))
             else:
-                stack.append((node["right"], len(feature)))
-                stack.append((node["left"], -1))
-                feature.append(json_int(node["dim"], "split dimension"))
-                value.append(json_float(node["threshold"], "threshold"))
+                split_dim, threshold, left, right_child = node
+                stack.append((right_child, len(feature)))
+                stack.append((left, -1))
+                feature.append(json_int(split_dim, "split dimension"))
+                value.append(json_float(threshold, "threshold"))
         return cls(feature, right, value, dim)
+
+
+def _node(obj: dict) -> tuple:
+    """A tree node object as a tuple: (beta,) for a leaf, (dim, threshold,
+    left, right) for a split. Raises KeyError for a missing key; an object
+    without node keys misses 'right', which is looked up first."""
+    if "beta" in obj:
+        return (obj["beta"],)
+    right = obj["right"]
+    return (obj["dim"], obj["threshold"], obj["left"], right)
+
+
+def node_hook(obj: dict):
+    """json.load's object_hook for model files: each tree node object
+    becomes the tuple of _node as soon as it is parsed, so no dict per node
+    is kept. Other objects, such as the file's top level, stay dicts; a node
+    object with a missing key stays a dict too, and from_dict reports it."""
+    try:
+        return _node(obj)
+    except KeyError:
+        return obj
 
 
 def json_int(value, name: str) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from batts.gibbs import sample_inverse_gaussian
-from batts.tree import DecisionTree, TreePrior
+from batts.tree import DecisionTree, TreePrior, json_float, json_int
 
 
 def hellinger_split_score(pl: float, ql: float, pr: float, qr: float) -> float:
@@ -83,3 +83,33 @@ def evaluate(tree: DecisionTree, x) -> float:
 def leaf_memberships(tree: DecisionTree, X: np.ndarray) -> list:
     """Row indices of X per leaf, in leaves() order."""
     return [idx for _, idx in tree._route(tree._points(X))]
+
+
+def log_weight_by_rows(model, X) -> np.ndarray:
+    """The model's log w at each row of X, every row routed through every
+    tree."""
+    X = np.asarray(X, dtype=np.float64)
+    total = np.zeros(X.shape[0])
+    for tree in model.trees:
+        total += tree.evaluate_many(X)
+    return model.offset + model.learning_rate * total
+
+
+def tree_from_dict(d: dict, dim: int) -> DecisionTree:
+    """A tree read from nested node dicts as to_dict writes them."""
+    feature, right, value = [], [], []
+    stack = [(d, -1)]
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:  # node is the right child of parent
+            right[parent] = len(feature)
+        right.append(-1)
+        if "beta" in node:
+            feature.append(-1)
+            value.append(json_float(node["beta"], "beta"))
+        else:
+            stack.append((node["right"], len(feature)))
+            stack.append((node["left"], -1))
+            feature.append(json_int(node["dim"], "split dimension"))
+            value.append(json_float(node["threshold"], "threshold"))
+    return DecisionTree(feature, right, value, dim)

@@ -2,6 +2,9 @@
 monotonicity, the split search, CV selection, and model persistence."""
 
 import gc
+import json
+import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +14,7 @@ from batts import (
     BoostConfig,
     DecisionTree,
     EnsembleModel,
+    TreePrior,
     TwoSampleDataset,
     build_cut_grid,
     fit,
@@ -21,7 +25,8 @@ from batts import (
 from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, cv_loss_curve
 from batts.data import CutGrid
 from batts.loss import finite_sample_loss, optimal_leaf_value, rebalance, row_masses
-from oracles import hellinger_split_score, leaf_memberships
+from oracles import (hellinger_split_score, leaf_memberships, log_weight_by_rows,
+                     sample_tree_from_prior, tree_from_dict)
 
 
 class TestConfig:
@@ -828,6 +833,37 @@ class TestPersistence:
         np.testing.assert_array_equal(predict_log_ratio(model, X),
                                       predict_log_ratio(clone, X))
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_load_matches_the_dict_walker(self, tmp_path, dim):
+        gen = np.random.default_rng(dim)
+        for k in range(5):
+            model, _ = _random_model(gen, dim, int(gen.integers(0, 30)))
+            path = tmp_path / f"model{k}.json"
+            model.save(path)
+            with open(path) as fh:
+                doc = json.load(fh)
+            clone = EnsembleModel.load(path)
+            oracle = EnsembleModel([tree_from_dict(d, dim) for d in doc["trees"]],
+                                   doc["nu"], doc["offset"], doc["algorithm"], dim)
+            for name in ("starts", "feature", "right", "value"):
+                a, b = getattr(clone, name), getattr(oracle, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_load_peak_memory_is_a_few_file_sizes(self, tmp_path):
+        """The node objects become tuples as they are parsed, so loading a
+        1000-tree model does not hold a dict per node."""
+        gen = np.random.default_rng(8)
+        model, _ = _random_model(gen, 2, 1000, cuts_per_dim=31, prior=TreePrior(0.9, 0.0))
+        path = tmp_path / "model.json"
+        model.save(path)
+        tracemalloc.start()
+        try:
+            EnsembleModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * os.path.getsize(path)
+
     def test_entry_points_fit_exactly_max_trees(self, shifted_2d):
         data, grid = shifted_2d
         fs = fit(data, grid, BoostConfig(algorithm="fs", max_trees=7), select=False)
@@ -855,3 +891,105 @@ class TestPersistence:
         model = fit(data, grid, BoostConfig(algorithm="gb", max_trees=2), select=False)
         with pytest.raises(ValueError):
             predict_log_ratio(model, np.zeros((3, 5)))
+
+
+def _random_model(gen, dim, n_trees, cuts_per_dim=6, max_depth=4, prior=TreePrior(0.95, 0.5)):
+    """An ensemble of prior-drawn trees with normal leaf betas, split on the
+    cuts of a random grid over [-2, 2], and that grid."""
+    grid = CutGrid(tuple(np.sort(gen.choice(np.linspace(-2.0, 2.0, 41), cuts_per_dim,
+                                            replace=False)) for _ in range(dim)))
+    trees = []
+    for _ in range(n_trees):
+        tree = sample_tree_from_prior(prior, grid, gen, max_depth)
+        leaf = tree.feature < 0
+        tree.value[leaf] = gen.standard_normal(int(leaf.sum()))
+        trees.append(tree)
+    return EnsembleModel(trees, 0.1, float(gen.standard_normal()), "gb", dim), grid
+
+
+def _points_on_and_off_cuts(gen, grid, n):
+    """Normal points, half of whose coordinates sit exactly on a cut."""
+    X = gen.standard_normal((n, grid.dim))
+    for j, c in enumerate(grid.cuts):
+        on = gen.random(n) < 0.5
+        X[on, j] = gen.choice(c, int(on.sum()))
+    return X
+
+
+class TestCellPrediction:
+    """log_weight routes each distinct cell of the model's own thresholds
+    once; every point of a cell meets the same leaves in the same order, so
+    it equals routing every row, bit for bit."""
+
+    @staticmethod
+    def _routed_rows(monkeypatch):
+        rows = []
+        raw = DecisionTree.evaluate_many
+
+        def counted(tree, X):
+            rows.append(np.asarray(X).shape[0])
+            return raw(tree, X)
+        monkeypatch.setattr(DecisionTree, "evaluate_many", counted)
+        return rows
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_models_match_row_routing(self, dim):
+        gen = np.random.default_rng(dim)
+        for _ in range(10):
+            model, grid = _random_model(gen, dim, int(gen.integers(1, 40)))
+            X = _points_on_and_off_cuts(gen, grid, int(gen.integers(1, 300)))
+            assert np.array_equal(model.log_weight(X), log_weight_by_rows(model, X))
+
+    def test_fitted_model_matches_row_routing(self, shifted_2d):
+        data, grid = shifted_2d
+        model = fit(data, grid, BoostConfig(max_trees=40), select=False)
+        X = np.vstack([data.pooled(), _points_on_and_off_cuts(np.random.default_rng(1), grid, 500)])
+        assert np.array_equal(model.log_weight(X), log_weight_by_rows(model, X))
+
+    def test_infinite_and_nan_points(self):
+        gen = np.random.default_rng(11)
+        model, grid = _random_model(gen, 2, 30)
+        X = _points_on_and_off_cuts(gen, grid, 60)
+        X[::3, 0] = np.inf
+        X[1::4, 1] = -np.inf
+        X[2::5, 0] = np.nan
+        X[3::7] = np.nan
+        expected = 2.0 * log_weight_by_rows(model, X)
+        assert np.array_equal(predict_log_ratio(model, X), expected)
+
+    def test_each_cell_is_routed_once(self, monkeypatch):
+        model, grid = _random_model(np.random.default_rng(3), 2, 20)
+        X = np.repeat(_points_on_and_off_cuts(np.random.default_rng(4), grid, 50), 4, axis=0)
+        bins = CutGrid(tuple(np.unique(model.value[model.feature == j])
+                             for j in range(2))).bin_indices(X)
+        cells = np.unique(bins, axis=0).shape[0]
+        rows = self._routed_rows(monkeypatch)
+        model.log_weight(X)
+        assert rows == [cells] * 20 and cells <= 50
+
+    def test_zero_rows(self):
+        model, _ = _random_model(np.random.default_rng(5), 3, 8)
+        out = model.log_weight(np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_zero_trees(self):
+        model = EnsembleModel([], 0.01, 0.25, "gb", 2)
+        X = np.random.default_rng(6).standard_normal((7, 2))
+        assert np.array_equal(model.log_weight(X), log_weight_by_rows(model, X))
+        assert np.array_equal(model.log_weight(X), np.full(7, 0.25))
+
+    def test_20d_key_overflow_routes_every_row(self, monkeypatch):
+        """Eight distinct thresholds in each of 20 dimensions make 9**20
+        cells, more than an int64 key holds: each row is its own cell."""
+        gen = np.random.default_rng(7)
+        model, grid = _random_model(gen, 20, 10, cuts_per_dim=8, max_depth=3)
+        stumps = [DecisionTree([j, -1, -1], [2, -1, -1], [c, gen.standard_normal(),
+                                                          gen.standard_normal()], 20)
+                  for j in range(20) for c in grid.cuts[j].tolist()]
+        model = EnsembleModel(model.trees + stumps, 0.1, 0.5, "fs", 20)
+        X = _points_on_and_off_cuts(gen, grid, 200)
+        X[100:] = X[:100]
+        rows = self._routed_rows(monkeypatch)
+        out = model.log_weight(X)
+        assert rows == [200] * len(model.trees)
+        assert np.array_equal(out, log_weight_by_rows(model, X))

@@ -350,6 +350,32 @@ class TestLeanImports:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_prediction_skips_numpy_ma(self, tmp_path):
+        """Neither predict_log_ratio nor batts predict imports numpy.ma: the
+        model's thresholds are made distinct without np.unique's plain form."""
+        s0, s1, _ = _simulate(tmp_path, n0=200, n1=200)
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "5", "--no-cv", "--out", str(model)]) == 0
+        paths = (str(model), str(s0), str(tmp_path / "est.csv"))
+        code = (
+            "import sys\n"
+            "from batts import EnsembleModel, predict_log_ratio\n"
+            "from batts.cli import dispatch\n"
+            "from batts.data import load_matrix\n"
+            f"model, points, out = {paths!r}\n"
+            "predict_log_ratio(EnsembleModel.load(model), load_matrix(points))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "assert dispatch(['predict', '--model', model, '--points', points,\n"
+            "                 '--out', out]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_a_2d_sampler_run_skips_numpy_ma(self):
         """The sampler's cell map does not import numpy.ma either, and the
         quantiles of summarize do without np.quantile, which does."""
@@ -440,6 +466,11 @@ class TestMalformedModel:
                         "malformed value (beta '0.1' is not a number)"),
         "huge integer beta": (lambda d: TestMalformedModel._leaf(d).update(beta=10**400),
                               "malformed value (beta is an integer too large for a float)"),
+        "child a number": (lambda d: TestMalformedModel._split_node(d).update(left=0.5),
+                           "malformed value (tree node 0.5 is not an object)"),
+        "child without node keys": (
+            lambda d: TestMalformedModel._split_node(d).update(left={"depth": 1}),
+            "missing key 'right'"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -460,6 +491,49 @@ class TestMalformedModel:
         assert err.startswith(f"error: model file {model}")
         assert message in err and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestUnreadableFiles:
+    """A model file that is not JSON or not UTF-8, or a points file that is
+    not UTF-8, is a one-line error that starts with the file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        s0, s1, _ = _simulate(tmp_path, n0=100, n1=100)
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "3", "--no-cv", "--out", str(model)]) == 0
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0\n1.0,-1.0\n")
+        return model, pts
+
+    @staticmethod
+    def _predict(model, pts, capsys):
+        out = model.parent / "est.csv"
+        capsys.readouterr()
+        code = dispatch(["predict", "--model", str(model), "--points", str(pts),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and not out.exists()
+        return err
+
+    def test_truncated_model(self, files, capsys):
+        model, pts = files
+        model.write_text(model.read_text()[:21])
+        err = self._predict(model, pts, capsys)
+        assert err.startswith(f"error: model file {model}: not JSON (")
+
+    def test_model_not_utf8(self, files, capsys):
+        model, pts = files
+        model.write_bytes(b"\xff" + model.read_bytes())
+        err = self._predict(model, pts, capsys)
+        assert err == f"error: model file {model}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_points_not_utf8(self, files, capsys):
+        model, pts = files
+        pts.write_bytes(b"0.0,0.0\n\xfe1.0,-1.0\n")
+        err = self._predict(model, pts, capsys)
+        assert err == f"error: {pts}: not UTF-8 text (byte 0xfe: invalid start byte)\n"
 
 
 class TestConfigAndErrors:

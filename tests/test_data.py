@@ -208,6 +208,14 @@ class TestCsvIo:
         with pytest.raises(DataError, match="non-numeric cell at row 0, col 1"):
             load_matrix(tmp_path / "a.csv")
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        """The bad byte sits past the first chunk the reader decodes."""
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"1.0,2.0\n" * 2000 + b"3.0,\xc34.0\n")
+        with pytest.raises(DataError) as e:
+            load_matrix(path)
+        assert str(e.value) == f"{path}: not UTF-8 text (byte 0xc3: invalid continuation byte)"
+
     def test_empty_file(self, tmp_path):
         (tmp_path / "a.csv").write_text("")
         with pytest.raises(DataError, match="empty input"):

@@ -31,13 +31,14 @@ class BoostConfig:
         lows = {"max_trees": 1, "max_depth": 1, "cv_folds": 2, "min_leaf_total": 1, "seed": 0}
         for name, low in lows.items():
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.algorithm not in ("fs", "gb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'")
-        if not 0.0 < self.learning_rate <= 1.0:
+        # a bool would be saved as "nu": true, which load refuses
+        if isinstance(self.learning_rate, bool) or not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
 
 
@@ -204,7 +205,11 @@ class _Grower:
         self.kbuf = np.empty_like(self.keys)
         self.wbuf = np.empty(self.keys.shape)
         self.counts = _unit(counts)
-        self.cuts = cuts
+        # the cuts as one matrix, so a depth's thresholds are one gather; no
+        # split picks a pad, which would send every row left
+        self.thresholds = np.full((len(cuts), self.width - 1), np.nan)
+        for d, c in enumerate(cuts):
+            self.thresholds[d, :len(c)] = c
         self.members = len(members)
         self.max_depth = max_depth
         self.min_leaf_total = min_leaf_total
@@ -214,8 +219,9 @@ class _Grower:
             self._keys(live, self.slots[:live.size], self.members), live, self.members)
 
     def grow(self, masses):
-        """Returns (tree, contrib0, contrib1) for each member: its tree and
-        the leaf betas of its cells in each group.
+        """Returns (levels, [(contrib0, contrib1) per member]): every
+        member's nodes, one (dim, value, child) record per depth (see _tree),
+        and the leaf betas of each member's cells in each group.
 
         masses holds loss.row_masses on the stack's training cells: every
         member's group-0 masses, member by member, then their group-1 masses.
@@ -225,9 +231,7 @@ class _Grower:
         """
         contrib = np.empty(self.keys.shape[0])
         live, slot = np.arange(contrib.size), self.slots
-        # the nodes in breadth-first order: split dimension (-1 at a leaf),
-        # threshold or beta, and the first of the two children
-        feature, value, child = [], [], []
+        levels = []
         nodes = self.members
         for depth in range(self.max_depth + 1):
             g, h = live.searchsorted([self.train0, masses.size]).tolist()
@@ -239,48 +243,26 @@ class _Grower:
             else:
                 dim = cut = np.full(nodes, -1)
             leaf = dim < 0
-            beta = np.zeros(nodes)
+            # each node's threshold, or its beta at a leaf
+            value = self.thresholds[dim, cut]
             if leaf.any():
-                beta[leaf] = optimal_leaf_value(p[leaf], q[leaf])
+                value[leaf] = optimal_leaf_value(p[leaf], q[leaf])
             # split nodes get consecutive child slots, in slot order
             child_slot = 2 * np.cumsum(~leaf) - 2
-            first = len(feature) + nodes
-            for d, j, b, c in zip(dim.tolist(), cut.tolist(), beta.tolist(),
-                                  child_slot.tolist()):
-                feature.append(d)
-                value.append(b if d < 0 else float(self.cuts[d][j]))
-                child.append(-1 if d < 0 else first + c)
+            levels.append((dim, value, child_slot))
             if leaf.all():
-                contrib[live] = beta[slot]
+                contrib[live] = value[slot]
                 break
             if leaf.any():  # the cells of leaf nodes get their beta
                 done = leaf[slot]
-                contrib[live[done]] = beta[slot[done]]
+                contrib[live[done]] = value[slot[done]]
                 stay = ~done
                 live, slot = live[stay], slot[stay]
             # a stored key is its bin plus a multiple of width
             right = self.keys[live, dim[slot]] % self.width > cut[slot]
             slot = child_slot[slot] + right
             nodes = 2 * (nodes - int(np.count_nonzero(leaf)))
-        return [(self._preorder(feature, value, child, m), contrib[r0], contrib[r1])
-                for m, (r0, r1) in enumerate(self.rows)]
-
-    def _preorder(self, feature, value, child, root):
-        """The tree under node root of the breadth-first node lists, in
-        DecisionTree's preorder arrays."""
-        pre_feature, pre_right, pre_value = [], [], []
-        stack = [(root, -1)]
-        while stack:
-            n, parent = stack.pop()
-            if parent >= 0:  # n is the right child of parent
-                pre_right[parent] = len(pre_feature)
-            pre_right.append(-1)
-            pre_feature.append(feature[n])
-            pre_value.append(value[n])
-            if feature[n] >= 0:
-                stack.append((child[n] + 1, len(pre_feature) - 1))
-                stack.append((child[n], -1))
-        return DecisionTree(pre_feature, pre_right, pre_value, len(self.cuts))
+        return levels, [(contrib[r0], contrib[r1]) for r0, r1 in self.rows]
 
     def search(self, live, slot, w, p, q, nodes, root):
         """The best split of each of the depth's nodes, as (dim, cut) arrays
@@ -385,9 +367,21 @@ def _stack(members, width):
             sum(np.count_nonzero(c) for c in counts0))
 
 
+def _tree(levels, m: int, dim: int) -> DecisionTree:
+    """Member m's tree out of _Grower.grow's levels, each holding its nodes'
+    split dimension (-1 at a leaf), threshold or beta, and first child's slot
+    in the next level. They become tree._node's tuples, deepest level first,
+    for DecisionTree.from_dict, the walker of model files."""
+    below = []
+    for dims, values, child in reversed(levels):
+        below = [(v,) if d < 0 else (d, v, below[c], below[c + 1])
+                 for d, v, c in zip(dims.tolist(), values.tolist(), child.tolist())]
+    return DecisionTree.from_dict(below[m], dim)
+
+
 def _boost(members, cuts, config: BoostConfig, n_trees: int):
-    """Yields, after each of n_trees steps, one (tree, log_c, loss, logw0,
-    logw1) per member.
+    """Yields, after each of n_trees steps, (levels, [(log_c, loss, logw0,
+    logw1) per member]), where levels holds the step's trees (see _tree).
 
     A member is one boosting run, given as (bins0, counts0, bins1, counts1):
     its cells and their training row counts. Cells with no training rows,
@@ -411,9 +405,9 @@ def _boost(members, cuts, config: BoostConfig, n_trees: int):
     last = [2.0] * len(members)
     for _ in range(n_trees):
         m0, m1 = zip(*[row_masses(t0, t1, c0, c1) for _, _, t0, t1, c0, c1 in runs])
-        grown = grower.grow(np.concatenate(m0 + m1))
+        levels, contribs = grower.grow(np.concatenate(m0 + m1))
         steps = []
-        for m, ((tree, f0, f1), (w0, w1, t0, t1, c0, c1)) in enumerate(zip(grown, runs)):
+        for m, ((f0, f1), (w0, w1, t0, t1, c0, c1)) in enumerate(zip(contribs, runs)):
             w0 += nu * f0
             w1 += nu * f1
             log_c, loss = rebalance(t0, t1, c0, c1)
@@ -423,8 +417,8 @@ def _boost(members, cuts, config: BoostConfig, n_trees: int):
             if loss > last[m] + _LOSS_SLACK:
                 raise AssertionError(f"training loss increased: {last[m]!r} -> {loss!r}")
             last[m] = loss
-            steps.append((tree, log_c, loss, w0, w1))
-        yield steps
+            steps.append((log_c, loss, w0, w1))
+        yield levels, steps
 
 
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
@@ -434,9 +428,9 @@ def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
     bins0, _, counts0 = _cells(grid, data.sample0)
     bins1, _, counts1 = _cells(grid, data.sample1)
     trees, offset, losses = [], 0.0, [2.0]
-    for [(tree, log_c, loss, _, _)] in _boost([(bins0, counts0, bins1, counts1)],
-                                              grid.cuts, config, n_trees):
-        trees.append(tree)
+    for levels, [(log_c, loss, _, _)] in _boost([(bins0, counts0, bins1, counts1)],
+                                                grid.cuts, config, n_trees):
+        trees.append(_tree(levels, 0, data.dim))
         offset += log_c
         losses.append(loss)
     return EnsembleModel(trees, learning_rate=config.learning_rate, offset=offset,
@@ -459,10 +453,11 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
 
     Each group is mapped to its cells once. A fold is boosted on the cells'
     training counts, the full counts minus its held-out counts; its cells
-    without training rows are routed through its trees too, so every cell
+    without training rows are routed through its splits too, so every cell
     has the fold's log w, and the held-out loss weights it by the cells'
     held-out counts. The folds are the members of one _boost run, so each
-    split search covers a depth of every fold's tree."""
+    split search covers a depth of every fold's tree. Only the log w is
+    read, so no fold's tree is built."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
@@ -475,7 +470,7 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
     members = [(b0, train0, b1, train1) for b0, train0, _, b1, train1, _ in folds]
     curves = np.full((config.cv_folds, config.max_trees + 1), 2.0)
     steps = _boost(members, grid.cuts, config, config.max_trees)
-    for k, step in enumerate(steps, start=1):
+    for k, (_, step) in enumerate(steps, start=1):
         for f, ((*_, logw0, logw1), (_, _, held0, _, _, held1)) in enumerate(zip(step, folds)):
             curves[f, k] = finite_sample_loss(logw0, logw1, held0, held1)
     return curves.mean(axis=0)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import boost, gibbs, simulate
-from .data import build_cut_grid, load_dataset, load_matrix, save_matrix
+from .data import build_cut_grid, load_dataset, load_matrix, save_matrix, utf8_fault
 
 SIZES = {"balanced": (5000, 5000), "unbalanced": (9000, 1000)}
 METHODS = ("fs", "gb", "bayes")
@@ -35,12 +35,14 @@ def _add_boost_flags(p):
 
 
 class _Command(argparse.ArgumentParser):
-    """A subcommand's parser. It keeps the destinations of its flags, the
-    keys that a --config file may set."""
+    """A subcommand's parser. It keeps each flag's action and its kind (the
+    action argument, such as "store_true") by destination; the destinations
+    are the keys that a --config file may set."""
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.dests = getattr(self, "dests", set()) | {action.dest}
+        self.flags = {**getattr(self, "flags", {}),
+                      action.dest: (kwargs.get("action", "store"), action)}
         return action
 
 
@@ -149,17 +151,43 @@ def _apply_config_file(commands, argv):
         path = flags[0].split("=", 1)[1]
     if not path:
         raise ValueError("--config needs a JSON file path")
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"config file {path}: {utf8_fault(e)}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"config file {path}: not JSON ({e})") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     command = commands[argv[0]]
-    known = command.dests - {"help", "config"}
-    unknown = sorted(set(cfg) - known)
+    known = {k: v for k, v in command.flags.items() if k not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in config file {path} "
                          f"for '{argv[0]}'")
+    for key, value in cfg.items():
+        want = _config_fault(*known[key], value)
+        if want:
+            raise ValueError(f"config file {path}: {key!r} must be {want}, "
+                             f"got {json.dumps(value)}")
     command.set_defaults(**cfg)
+
+
+def _config_fault(kind, action, value):
+    """What a --config value for a flag must be, if value is not that, or
+    None. argparse checks no default, apart from converting a string with
+    the flag's type, so a value must have its flag's kind. A fractional
+    number passes: the library refuses it with the setting's name."""
+    if kind == "store_true":
+        return None if type(value) is bool else "true or false"
+    if kind == "append":
+        if type(value) is list and all(v in action.choices for v in value):
+            return None
+        return f"a list of names from {', '.join(action.choices)}"
+    if action.type in (int, float):
+        return None if type(value) in (int, float, str) else "a number"
+    return None if type(value) is str else "a string"
 
 
 def _cmd_fit(args) -> int:

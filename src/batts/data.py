@@ -208,7 +208,7 @@ def _check_nonconstant(data: TwoSampleDataset) -> None:
 
 def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = 31) -> CutGrid:
     """Equally spaced interior thresholds over the pooled per-dimension range."""
-    if not isinstance(count_per_dim, numbers.Integral):
+    if not isinstance(count_per_dim, numbers.Integral) or isinstance(count_per_dim, bool):
         raise DataError("count_per_dim must be an integer")
     if count_per_dim < 1:
         raise DataError("count_per_dim must be >= 1")

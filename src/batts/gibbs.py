@@ -33,7 +33,8 @@ class GibbsConfig:
 
     def __post_init__(self):
         for name in ("n_trees", "burn_in", "draws", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
         if self.n_trees < 2 or self.n_trees % 2 != 0:
             raise ValueError("n_trees must be even (prior alternation needs pairs)")

@@ -122,8 +122,8 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d, dim: int) -> "DecisionTree":
-        """The tree of a node object as to_dict writes it, or as json.load
-        reads it with object_hook=node_hook."""
+        """The tree of a node object as to_dict writes it, or of _node's
+        tuples, as node_hook reads them and the boosting grower builds them."""
         feature, right, value = [], [], []
         stack = [(d, -1)]
         while stack:

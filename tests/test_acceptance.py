@@ -29,7 +29,7 @@ from batts import (
     symmetrized_mse,
     true_log_ratio,
 )
-from batts.boost import _boost, _cells, _fit_boost
+from batts.boost import _boost, _cells, _fit_boost, _tree
 from batts.gibbs import (
     MoveContext,
     SamplerTree,
@@ -113,8 +113,9 @@ def _gb_bench(n0, n1, replicates=5, base_seed=0, floors=False):
             path = [symmetrized_mse(truth, 2 * logw, n0, n1)]
             bins0, _, counts0 = _cells(grid, data.sample0)
             bins1, _, counts1 = _cells(grid, data.sample1)
-            for [(tree, log_c, *_)] in _boost([(bins0, counts0, bins1, counts1)],
-                                              grid.cuts, config, config.max_trees):
+            for levels, [(log_c, *_)] in _boost([(bins0, counts0, bins1, counts1)],
+                                                grid.cuts, config, config.max_trees):
+                tree = _tree(levels, 0, data.dim)
                 logw[:] += config.learning_rate * tree.evaluate_many(points) + log_c
                 path.append(symmetrized_mse(truth, 2 * logw, n0, n1))
             row += [min(path), _textbook_boost_floor(data, truth, config)]

@@ -22,7 +22,7 @@ from batts import (
     make_scenario,
     predict_log_ratio,
 )
-from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, cv_loss_curve
+from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, _tree, cv_loss_curve
 from batts.data import CutGrid
 from batts.loss import finite_sample_loss, optimal_leaf_value, rebalance, row_masses
 from oracles import (hellinger_split_score, leaf_memberships, log_weight_by_rows,
@@ -52,11 +52,20 @@ class TestConfig:
             {"min_leaf_total": 5.5},
             {"seed": 2.5},
             {"seed": -1},
+            {"learning_rate": True},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BoostConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["max_trees", "max_depth", "cv_folds", "min_leaf_total",
+                                      "seed"])
+    def test_bool_is_not_an_integer(self, name):
+        """A bool is a numbers.Integral, but a model fitted with seed True
+        would be saved with "seed": true, which EnsembleModel.load refuses."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            BoostConfig(**{name: True})
 
 
 class TestSingleStepOracle:
@@ -476,13 +485,13 @@ class TestCellFit:
         logw0, logw1 = np.zeros(data.n0), np.zeros(data.n1)
         trees, offset, losses = [], 0.0, [2.0]
         for _ in range(n_trees):
-            [(tree, c0, c1)] = grower.grow(np.concatenate(row_masses(logw0, logw1)))
+            levels, [(c0, c1)] = grower.grow(np.concatenate(row_masses(logw0, logw1)))
             logw0 += config.learning_rate * c0
             logw1 += config.learning_rate * c1
             log_c, loss = rebalance(logw0, logw1)
             logw0 += log_c
             logw1 += log_c
-            trees.append(tree)
+            trees.append(_tree(levels, 0, data.dim))
             offset += log_c
             losses.append(loss)
         return trees, offset, np.array(losses)
@@ -687,6 +696,25 @@ class TestCrossValidation:
         cv_loss_curve(data, grid, BoostConfig(max_trees=5, cv_folds=3))
         assert calls == ["bin_indices", "bin_indices"]
 
+    def test_builds_only_the_refit_trees(self, shifted_2d, monkeypatch):
+        """The folds' trees are never built, since the curve reads only
+        their log w; a fit with selection builds the k trees it keeps."""
+        data, grid = shifted_2d
+        config = BoostConfig(max_trees=12, cv_folds=3, seed=1)
+        built = []
+        init = DecisionTree.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(DecisionTree, "__init__", counted)
+        k = int(np.argmin(cv_loss_curve(data, grid, config)))
+        assert built == [] and k > 0
+        model = fit(data, grid, config, select=True)
+        assert len(built) == k
+        assert model.starts.size == k + 1
+
     @staticmethod
     def _folds(data, grid, config):
         """Per fold, as cv_loss_curve builds them: the held-out row masks,
@@ -707,10 +735,10 @@ class TestCrossValidation:
     @classmethod
     def _fold_runs(cls, data, grid, config):
         """Per fold: the held-out row masks, the fold's member, and the steps
-        of _boost on that member alone."""
+        of _boost on that member alone, each with its tree first."""
         for ho0, ho1, member, _ in cls._folds(data, grid, config):
-            yield ho0, ho1, member, (step for [step] in _boost(
-                [member], grid.cuts, config, config.max_trees))
+            yield ho0, ho1, member, ((_tree(levels, 0, data.dim), *step) for levels, [step]
+                                     in _boost([member], grid.cuts, config, config.max_trees))
 
     def test_20d_folds_equal_fits_on_their_own_rows(self):
         """In 20-D every row is its own cell, so a fold on the shared cell
@@ -789,14 +817,16 @@ class TestCrossValidation:
             assert all((member[1] == 0).any() for _, _, member, _ in folds)
         if case == "duplicated row":
             assert [member[1].max() for _, _, member, _ in folds] == [2, 1, 2, 2, 2]
-        batched = [[(tree, log_c, loss, w0.copy(), w1.copy())
-                    for tree, log_c, loss, w0, w1 in step]
-                   for step in _boost([member for _, _, member, _ in folds], grid.cuts,
-                                      config, config.max_trees)]
+        batched = [[(_tree(levels, f, data.dim), log_c, loss, w0.copy(), w1.copy())
+                    for f, (log_c, loss, w0, w1) in enumerate(step)]
+                   for levels, step in _boost([member for _, _, member, _ in folds], grid.cuts,
+                                              config, config.max_trees)]
         curves = []
         for f, (_, _, member, (held0, held1)) in enumerate(folds):
             curve, sums = [2.0], [0.0, 0.0]
-            for k, [lone] in enumerate(_boost([member], grid.cuts, config, config.max_trees)):
+            for k, (levels, [step]) in enumerate(_boost([member], grid.cuts, config,
+                                                        config.max_trees)):
+                lone = (_tree(levels, 0, data.dim), *step)
                 tree, log_c, loss, w0, w1 = batched[k][f]
                 for name in ("feature", "right", "value"):
                     np.testing.assert_array_equal(getattr(tree, name), getattr(lone[0], name))

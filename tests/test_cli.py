@@ -620,6 +620,79 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err == "error: --config needs a JSON file path\n"
 
+    @pytest.mark.parametrize("command, cfg, want", [
+        ("fit", '{"no_cv": "false"}', "'no_cv' must be true or false, got \"false\""),
+        ("fit", '{"no_cv": 0}', "'no_cv' must be true or false, got 0"),
+        ("fit", '{"max_trees": true}', "'max_trees' must be a number, got true"),
+        ("fit", '{"nu": [1]}', "'nu' must be a number, got [1]"),
+        ("fit", '{"seed": null}', "'seed' must be a number, got null"),
+        ("fit", '{"depth": {"a": 1}}', "'depth' must be a number, got {\"a\": 1}"),
+        ("fit", '{"algo": false}', "'algo' must be a string, got false"),
+        ("bench", '{"sizes": 5}', "'sizes' must be a string, got 5"),
+        ("bayes", '{"eval_points": null}', "'eval_points' must be a string, got null"),
+        ("bench", '{"scenario": "GlobalShift2D"}',
+         "'scenario' must be a list of names from " + ", ".join(simulate.SCENARIO_NAMES)
+         + ", got \"GlobalShift2D\""),
+        ("bench", '{"scenario": ["GlobalShift2D", "G"]}',
+         "'scenario' must be a list of names from " + ", ".join(simulate.SCENARIO_NAMES)
+         + ", got [\"GlobalShift2D\", \"G\"]"),
+    ])
+    def test_value_of_the_wrong_kind_is_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                                         command, cfg, want):
+        """argparse checks no default, so a config value that is not of its
+        flag's kind would reach the command: "false" would skip CV, true
+        would fit one tree, a string would be read as a list of scenarios."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli.boost, "fit", never)
+        monkeypatch.setattr(cli.gibbs, "run_sampler", never)
+        monkeypatch.setattr(cli, "run_bench", never)
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        out = tmp_path / "out"
+        data = [] if command == "bench" else ["--sample0", str(s0), "--sample1", str(s1)]
+        code = dispatch([command, *data, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config file {path}: {want}\n"
+        assert not out.exists()
+
+    def test_config_values_of_their_flags_kind_pass(self, tmp_path, monkeypatch):
+        """A list of scenario names, false for a store_true flag, and a
+        number given as a string, which argparse converts with the flag's
+        type."""
+        seen = {}
+
+        def record(scenarios, sizes, methods, replicates, seed, boost_kw, bayes_kw,
+                   threads=None):
+            seen.update(scenarios=scenarios, boost_kw=boost_kw)
+            return [("GlobalShift2D", "balanced", "fs", 0.0, 0.0, 1, 0)]
+
+        monkeypatch.setattr(cli, "run_bench", record)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": ["LocalShift2D", "GlobalShift2D"], "max_trees": "7"}')
+        assert dispatch(["bench", "--methods", "fs", "--config", str(path),
+                         "--out", str(tmp_path / "b.csv")]) == 0
+        assert seen["scenarios"] == ["LocalShift2D", "GlobalShift2D"]
+        assert seen["boost_kw"]["max_trees"] == 7
+
+    @pytest.mark.parametrize("content, want", [
+        (b"", "not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (b'{"max_trees": 3', "not JSON (Expecting ',' delimiter: line 1 column 16 (char 15))"),
+        (b'{"max_trees": 3, "algo": "\xff"}', "not UTF-8 text (byte 0xff: invalid start byte)"),
+    ])
+    def test_unreadable_config_file_names_it(self, tmp_path, capsys, content, want):
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        model = tmp_path / "model.json"
+        code = dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--config", str(path), "--out", str(model)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config file {path}: {want}\n"
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
         cfg = tmp_path / "cfg.json"

@@ -66,7 +66,7 @@ class TestCutGrid:
         with pytest.raises(DataError, match="constant column 0"):
             build_cut_grid(d, 7)
 
-    @pytest.mark.parametrize("count", [2.5, 3.0, 0])
+    @pytest.mark.parametrize("count", [2.5, 3.0, 0, True])
     def test_non_integral_or_zero_count_rejected(self, count):
         d = TwoSampleDataset(np.array([[0.0], [4.0]]), np.array([[2.0]]))
         with pytest.raises(DataError, match="count_per_dim must be"):

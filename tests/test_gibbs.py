@@ -373,6 +373,11 @@ class TestGibbsConfig:
         with pytest.raises(ValueError):
             GibbsConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n_trees", "burn_in", "draws", "seed"])
+    def test_bool_is_not_an_integer(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            GibbsConfig(**{name: True})
+
     def test_leaf_precision(self):
         assert GibbsConfig(n_trees=50, lambda0=5.0).leaf_precision == 250.0
 

@@ -49,3 +49,26 @@ def test_every_imported_name_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{n} (line {line})" for n, line in bound.items() if n not in used)
     assert not unused, f"{name} imports unused names: {', '.join(unused)}"
+
+
+def test_every_private_definition_is_used():
+    """A private (_name) function, method or class that nothing else in the
+    library refers to is dead code, or a helper that only tests call, which
+    belongs in tests/. A reference inside the definition itself, such as a
+    recursive call, does not count."""
+    trees = [_parse(name) for name in MODULES]
+    refs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(name, str):
+                refs.setdefault(name, []).append(node)
+    unused = []
+    for module, tree in zip(MODULES, trees):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                inside = {id(n) for n in ast.walk(node)}
+                if all(id(ref) in inside for ref in refs.get(node.name, [])):
+                    unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, f"private definitions nothing refers to: {', '.join(unused)}"

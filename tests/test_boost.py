@@ -22,6 +22,7 @@ from batts import (
     make_scenario,
     predict_log_ratio,
 )
+from batts import boost
 from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, _tree, cv_loss_curve
 from batts.data import CutGrid
 from batts.loss import finite_sample_loss, optimal_leaf_value, rebalance, row_masses
@@ -126,7 +127,7 @@ def _level_search(grower, m0, m1, live0, slot0, live1, slot1, nodes, root=False)
     live = np.concatenate([live0, live1 + m0.size])
     slot = np.concatenate([slot0, slot1])
     w = np.concatenate([m0, m1])[live]
-    dim, cut = grower.search(live, slot, w, np.bincount(slot0, m0[live0], nodes),
+    dim, cut, _ = grower.search(live, slot, w, np.bincount(slot0, m0[live0], nodes),
                              np.bincount(slot1, m1[live1], nodes), nodes, root)
     return [None if d < 0 else (d, c) for d, c in zip(dim.tolist(), cut.tolist())]
 
@@ -591,11 +592,15 @@ class TestLevelGrowth:
 
     @pytest.mark.parametrize("algo", ["fs", "gb"])
     @pytest.mark.parametrize("min_leaf", [5, 60])
-    def test_matches_depth_first_growth(self, algo, min_leaf, shifted_2d):
+    @pytest.mark.parametrize("subtract_keys", [boost._SUBTRACT_KEYS, 0])
+    def test_matches_depth_first_growth(self, algo, min_leaf, subtract_keys, shifted_2d,
+                                        monkeypatch):
         """20 trees of _fit_boost against the boosting loop with the
         depth-first grower: equal split structure and thresholds, betas
         within 1e-12. With min_leaf_total 60 some nodes above max_depth
-        have no valid split and become leaves."""
+        have no valid split and become leaves. At subtract_keys 0 every
+        depth below the root takes histograms by subtraction."""
+        monkeypatch.setattr(boost, "_SUBTRACT_KEYS", subtract_keys)
         data, grid = shifted_2d
         config = BoostConfig(algorithm=algo, max_trees=20, min_leaf_total=min_leaf)
         model = _fit_boost(data, grid, config, 20)
@@ -622,6 +627,162 @@ class TestLevelGrowth:
         assert counts0.max() > 1 and counts1.max() > 1
         if min_leaf == 60:
             assert early_leaves == 20
+
+
+class TestHistogramSubtraction:
+    """A depth of at least boost._SUBTRACT_KEYS live keys bins only the
+    smaller child of each pair of siblings and takes the other's histograms
+    as the parent's minus the binned child's. The tests set the constant to
+    0 or past any key count, so that both paths run on the same input."""
+
+    NEVER = np.iinfo(np.int64).max
+
+    @staticmethod
+    def _searches(monkeypatch, subtract_keys, members, cuts, algo):
+        """(dim, cut, hists) of every search of 5 _boost steps."""
+        seen = []
+        search = _Grower.search
+
+        def recorded(self, *args):
+            seen.append(search(self, *args))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(boost, "_SUBTRACT_KEYS", subtract_keys)
+            m.setattr(_Grower, "search", recorded)
+            for _ in _boost(members, cuts, BoostConfig(algorithm=algo), 5):
+                pass
+        return seen
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    @pytest.mark.parametrize("cells", [False, True])
+    def test_equals_direct_binning(self, algo, cells, monkeypatch):
+        """Two members of 3-D rows, or of cells with row counts, grown with
+        and without subtraction: the same splits, counts exactly equal,
+        masses within a relative 1e-12, and empty bins exactly 0."""
+        gen = np.random.default_rng(5)
+        data = TwoSampleDataset(gen.standard_normal((900, 3)),
+                                gen.standard_normal((700, 3)) + 0.4)
+        grid = build_cut_grid(data, 7)
+        members = []
+        for half in (slice(0, None, 2), slice(1, None, 2)):
+            groups = []
+            for X in (data.sample0[half], data.sample1[half]):
+                if cells:
+                    bins, _, counts = _cells(grid, X)
+                else:
+                    bins, counts = grid.bin_indices(X), np.ones(X.shape[0])
+                groups += [bins, counts]
+            members.append(tuple(groups))
+        subtracted = self._searches(monkeypatch, 0, members, grid.cuts, algo)
+        direct = self._searches(monkeypatch, self.NEVER, members, grid.cuts, algo)
+        assert len(subtracted) == len(direct) == 20
+        assert max(dim.size for dim, _, _ in direct) >= 8
+        for (dim, cut, hists), (want_dim, want_cut, want) in zip(subtracted, direct):
+            np.testing.assert_array_equal(dim, want_dim)
+            np.testing.assert_array_equal(cut, want_cut)
+            if want is None:
+                continue
+            (counts, masses), (want_counts, want_masses) = hists, want
+            assert counts.dtype == want_counts.dtype
+            np.testing.assert_array_equal(counts, want_counts)
+            np.testing.assert_allclose(masses, want_masses, rtol=1e-12, atol=0)
+            assert (masses[counts == 0] == 0).all()
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    def test_empty_bins_between_cuts_keep_the_first_cut(self, algo, monkeypatch):
+        """The larger child of a split (dim-0 bin 1) holds no cell in
+        dim-1 bins 3 and 4, where the smaller one has cells, so cuts 2, 3
+        and 4 of dim 1 make the same partition, and the best one. Its
+        histograms come from subtraction, which must keep the first cut,
+        as direct binning does, for every draw of the masses. Subtracting
+        the cumulative histograms instead leaves steps of an ulp between
+        the three cuts."""
+        cuts = (np.array([0.0]), np.arange(8) + 0.5)
+        gen = np.random.default_rng(0)
+
+        def rows(side, n, lo, hi):
+            return np.column_stack([np.full(n, side), gen.integers(lo, hi, n)])
+
+        b0 = np.vstack([rows(0, 20, 0, 9), rows(1, 60, 0, 3), rows(1, 6, 5, 9)])
+        b1 = np.vstack([rows(0, 20, 0, 9), rows(1, 6, 0, 3), rows(1, 60, 5, 9)])
+        grower = _row_grower(b0, b1, cuts, 5, algo)
+        live = np.arange(b0.shape[0] + b1.shape[0])
+        slot = np.concatenate([b0[:, 0], b1[:, 0]])
+        for _ in range(30):
+            m0 = gen.uniform(0.5, 1.5, b0.shape[0]) / b0.shape[0]
+            m1 = gen.uniform(0.5, 1.5, b1.shape[0]) / b1.shape[0]
+            w = np.concatenate([m0, m1])
+            *_, hists = grower.search(live, np.zeros_like(slot), w, m0.sum(keepdims=True),
+                                      m1.sum(keepdims=True), 1, True)
+            p = np.bincount(b0[:, 0], m0, 2)
+            q = np.bincount(b1[:, 0], m1, 2)
+            found = {}
+            for keys in (0, self.NEVER):
+                monkeypatch.setattr(boost, "_SUBTRACT_KEYS", keys)
+                dim, cut, _ = grower.search(live, slot, w, p, q, 2, False,
+                                            (*hists, np.array([False])))
+                found[keys] = list(zip(dim.tolist(), cut.tolist()))
+            assert found[0] == found[self.NEVER]
+            assert found[0][1] == (1, 2)
+
+    def test_left_masses_below_zero_are_clipped(self, monkeypatch):
+        """Masses spread over 17 decades on a 6 x 6 grid (seed found by
+        search): below depth 1 a parent's histogram is itself a difference,
+        and unclipped, a sibling's left mass falls below 0 under the fs
+        score's sqrt, whose RuntimeWarning pytest makes an error. Clipped at
+        0, the trees are those of direct binning."""
+        gen = np.random.default_rng(1571)
+        b0, b1 = gen.integers(0, 6, (60, 2)), gen.integers(0, 6, (60, 2))
+        masses = np.exp(gen.uniform(-40, 0, 120))
+        grown = []
+        for keys in (0, self.NEVER):
+            monkeypatch.setattr(boost, "_SUBTRACT_KEYS", keys)
+            grower = _row_grower(b0, b1, [np.arange(5) + 0.5] * 2, 2, "fs")
+            grown.append(grower.grow(masses)[0])
+        for (dim, value, _), (want_dim, want_value, _) in zip(*grown, strict=True):
+            np.testing.assert_array_equal(dim, want_dim)
+            np.testing.assert_array_equal(value, want_value)
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    def test_20d_fits_grow_the_same_trees_on_both_paths(self, algo, monkeypatch):
+        """On LatentLocation20D 600/400 the CV curve (five folds as
+        members) and the fit it selects are the same with and without
+        subtraction, bit for bit."""
+        data = generate(make_scenario("LatentLocation20D"), 600, 400, seed=3)
+        grid = build_cut_grid(data, 31)
+        config = BoostConfig(algorithm=algo, max_trees=15, seed=3)
+        runs = []
+        for keys in (0, self.NEVER):
+            monkeypatch.setattr(boost, "_SUBTRACT_KEYS", keys)
+            model = fit(data, grid, config, select=True)
+            runs.append((cv_loss_curve(data, grid, config), model))
+        (curve, model), (want_curve, want) = runs
+        np.testing.assert_array_equal(curve, want_curve)
+        assert model.starts.size > 1
+        for name in ("starts", "feature", "right", "value"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(want, name))
+        assert model.offset == want.offset
+
+    def test_default_constant_at_the_benchmark_sizes(self, monkeypatch):
+        """The 2-D sizes of the gb_cv_2d workload (GlobalShift2D 2500/2500,
+        5-fold CV) and of the predict_batch set-up fit (2000/2000, no CV)
+        never subtract; the fs_20d size (LatentLocation20D 4500/500) does."""
+        # 31 cuts per dimension give at most 32**2 cells per group in 2-D,
+        # and a depth's live keys never exceed its root's
+        assert 5 * 2 * 32**2 * 2 < boost._SUBTRACT_KEYS
+        calls = []
+        siblings = boost._siblings
+        monkeypatch.setattr(boost, "_siblings", lambda *a: calls.append(1) or siblings(*a))
+        for scenario, n0, n1, algo, trees, select, subtracts in (
+                ("GlobalShift2D", 2500, 2500, "gb", 100, True, False),
+                ("GlobalShift2D", 2000, 2000, "gb", 100, False, False),
+                ("LatentLocation20D", 4500, 500, "fs", 2, False, True)):
+            data = generate(make_scenario(scenario), n0, n1, seed=0)
+            fit(data, build_cut_grid(data, 31),
+                BoostConfig(algorithm=algo, max_trees=trees, seed=0), select=select)
+            assert bool(calls) == subtracts
+            calls.clear()
 
 
 class TestCrossValidation:

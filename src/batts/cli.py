@@ -46,6 +46,16 @@ class _Command(argparse.ArgumentParser):
         return action
 
 
+class _Repeated(argparse.Action):
+    """action="append", except that the first use on the command line
+    replaces the default, so that flags override a --config list instead of
+    extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
 def build_parser():
     """Returns the top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
@@ -113,7 +123,7 @@ def build_parser():
     p.add_argument("--n1", type=int, required=True)
 
     p = command("bench", "replicate benchmark mirroring the tables")
-    p.add_argument("--scenario", action="append", choices=simulate.SCENARIO_NAMES,
+    p.add_argument("--scenario", action=_Repeated, choices=simulate.SCENARIO_NAMES,
                    help="repeatable; default: all scenarios")
     p.add_argument("--sizes", default="balanced,unbalanced",
                    help="comma-separated subset of balanced (5000/5000), "
@@ -177,16 +187,23 @@ def _apply_config_file(commands, argv):
 def _config_fault(kind, action, value):
     """What a --config value for a flag must be, if value is not that, or
     None. argparse checks no default, apart from converting a string with
-    the flag's type, so a value must have its flag's kind. A fractional
-    number passes: the library refuses it with the setting's name."""
+    the flag's type, so a value must have its flag's kind, and a string for
+    a number must convert. A fractional number passes: the library refuses
+    it with the setting's name."""
     if kind == "store_true":
         return None if type(value) is bool else "true or false"
-    if kind == "append":
+    if kind is _Repeated:
         if type(value) is list and all(v in action.choices for v in value):
             return None
         return f"a list of names from {', '.join(action.choices)}"
     if action.type in (int, float):
-        return None if type(value) in (int, float, str) else "a number"
+        if type(value) is str:
+            try:
+                action.type(value)
+            except ValueError:
+                return "an integer" if action.type is int else "a number"
+            return None
+        return None if type(value) in (int, float) else "a number"
     return None if type(value) is str else "a string"
 
 

@@ -626,6 +626,9 @@ class TestConfigAndErrors:
         ("fit", '{"max_trees": true}', "'max_trees' must be a number, got true"),
         ("fit", '{"nu": [1]}', "'nu' must be a number, got [1]"),
         ("fit", '{"seed": null}', "'seed' must be a number, got null"),
+        ("fit", '{"nu": "abc"}', "'nu' must be a number, got \"abc\""),
+        ("fit", '{"max_trees": "2.5"}', "'max_trees' must be an integer, got \"2.5\""),
+        ("bayes", '{"lambda0": ""}', "'lambda0' must be a number, got \"\""),
         ("fit", '{"depth": {"a": 1}}', "'depth' must be a number, got {\"a\": 1}"),
         ("fit", '{"algo": false}', "'algo' must be a string, got false"),
         ("bench", '{"sizes": 5}', "'sizes' must be a string, got 5"),
@@ -641,7 +644,9 @@ class TestConfigAndErrors:
                                                          command, cfg, want):
         """argparse checks no default, so a config value that is not of its
         flag's kind would reach the command: "false" would skip CV, true
-        would fit one tree, a string would be read as a list of scenarios."""
+        would fit one tree, a string would be read as a list of scenarios.
+        A string that does not convert with its flag's type would fail in
+        argparse, with its usage block and the flag's name."""
         def never(*args, **kwargs):
             raise AssertionError("the command ran")
 
@@ -671,11 +676,31 @@ class TestConfigAndErrors:
 
         monkeypatch.setattr(cli, "run_bench", record)
         path = tmp_path / "cfg.json"
-        path.write_text('{"scenario": ["LocalShift2D", "GlobalShift2D"], "max_trees": "7"}')
+        path.write_text('{"scenario": ["LocalShift2D", "GlobalShift2D"], "max_trees": "7", '
+                        '"nu": "0.05"}')
         assert dispatch(["bench", "--methods", "fs", "--config", str(path),
                          "--out", str(tmp_path / "b.csv")]) == 0
         assert seen["scenarios"] == ["LocalShift2D", "GlobalShift2D"]
         assert seen["boost_kw"]["max_trees"] == 7
+        assert seen["boost_kw"]["learning_rate"] == 0.05
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], ["LocalShift2D"]),
+        (["--scenario", "GlobalShift2D"], ["GlobalShift2D"]),
+        (["--scenario", "GlobalShift2D", "--scenario", "LocalShift2D"],
+         ["GlobalShift2D", "LocalShift2D"]),
+    ])
+    def test_scenario_flags_override_the_config_list(self, tmp_path, monkeypatch, flags, want):
+        """--scenario flags replace a config file's scenario list; argparse's
+        append action would extend it."""
+        seen = []
+        monkeypatch.setattr(cli, "run_bench", lambda scenarios, *args, **kwargs: (
+            seen.append(scenarios) or [("GlobalShift2D", "balanced", "fs", 0.0, 0.0, 1, 0)]))
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": ["LocalShift2D"]}')
+        assert dispatch(["bench", "--methods", "fs", "--config", str(path), *flags,
+                         "--out", str(tmp_path / "b.csv")]) == 0
+        assert seen == [want]
 
     @pytest.mark.parametrize("content, want", [
         (b"", "not JSON (Expecting value: line 1 column 1 (char 0))"),

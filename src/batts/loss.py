@@ -67,7 +67,9 @@ def _row_mean(e: np.ndarray, counts) -> float:
     """The mean of e over rows, where entry i stands for counts[i] rows."""
     if counts is None:
         return e.mean()
-    return np.dot(counts, e) / counts.sum()
+    # np.dot would call BLAS, whose sum over many entries depends on its
+    # thread count; numpy's own pairwise sum does not
+    return np.add.reduce(counts * e) / counts.sum()
 
 
 def optimal_leaf_value(p_mass, q_mass):

@@ -4,6 +4,8 @@ monotonicity, the split search, CV selection, and model persistence."""
 import gc
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -1010,7 +1012,38 @@ class TestCrossValidation:
             cv_loss_curve(data, grid, BoostConfig(cv_folds=5))
 
 
+# A 4-D fit on 40000/40000 rows; argv[1] is the model path. It prints each
+# group's occupied cell count.
+_WIDE_FIT = """
+import sys
+import numpy as np
+from batts import BoostConfig, TwoSampleDataset, build_cut_grid, fit
+from batts.boost import _cells
+gen = np.random.default_rng(0)
+data = TwoSampleDataset(gen.standard_normal((40000, 4)), gen.standard_normal((40000, 4)) + 0.5)
+grid = build_cut_grid(data, 31)
+fit(data, grid, BoostConfig(max_trees=5), select=False).save(sys.argv[1])
+print(_cells(grid, data.sample0)[2].size, _cells(grid, data.sample1)[2].size)
+"""
+
+
 class TestPersistence:
+    def test_model_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """The same fit of over 20 000 cells per group, run with one and
+        with two OpenBLAS threads, saves the same bytes. Above about 10 000
+        entries a BLAS dot product sums in an order that depends on its
+        thread count, so no loss sum may use one."""
+        src = os.path.dirname(os.path.dirname(boost.__file__))
+        saved = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"model{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", _WIDE_FIT, str(path)], env=env,
+                                 check=True, capture_output=True, text=True, timeout=300)
+            assert min(int(n) for n in out.stdout.split()) >= 20000
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
     def test_save_load_round_trip(self, tmp_path, shifted_2d):
         data, grid = shifted_2d
         model = fit(data, grid, BoostConfig(algorithm="gb", max_trees=12), select=False)

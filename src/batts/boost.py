@@ -18,10 +18,12 @@ _LOSS_SLACK = 1e-12
 
 # A depth of at least this many live keys (live cells with masses x dims)
 # bins only the smaller child of each pair of siblings and takes the other
-# from their parent's histograms (see _Grower.search). Below it the extra
-# numpy calls cost more than the binning they save: a depth holds about 100k
-# keys in a 20-D fit of 5000 rows, but at most about 9k in a 2-D fit with
-# 5-fold CV and about 2k in a 2-D fit without.
+# from their parent's histograms (see _Grower.search). A depth holds 100k
+# keys in a 20-D fit of 5000 rows, where subtraction made the fit about 20%
+# faster, but at most about 7.5k in a 2-D fit of 2500/2500 rows with 5-fold
+# CV and 1.5k in one of 2000/2000 without, where subtracting at every depth
+# made the fits about 20% and 30% slower: its extra numpy calls cost more
+# than the binning they save.
 _SUBTRACT_KEYS = 2**15
 
 
@@ -193,7 +195,8 @@ class _Grower:
     and cumulative sums along each (node, group, dimension) row give the
     left-child totals of its cuts, and in its last bin the node's total.
     The root's count histogram is the same for every tree, so it is taken
-    once, in __init__.
+    once, in __init__. Below the root, a depth of many keys bins only one
+    child of each split and subtracts it from the parent (see search).
     The fs criterion scores a split by the affinity of its children's masses,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
     -m1 (see loss.row_masses), both from the mass histogram. Children with
@@ -295,25 +298,25 @@ class _Grower:
         0, so that cuts with only empty bins between them keep tying after
         the cumulative sums.
         """
-        binned, right = nodes, None
+        hist_nodes, right = nodes, None
         if parents is not None and w.size * self.keys.shape[1] >= _SUBTRACT_KEYS:
             # histogram slot i is the binned child of pair i
-            binned //= 2
+            hist_nodes //= 2
             right, i = _smaller_children(slot, nodes)
             live, slot, w = live.take(i), slot.take(i) >> 1, w.take(i)
             parent_counts, parent_masses, leaf = parents
             split = ~leaf
-        k = self._keys(live, slot, binned)
+        k = self._keys(live, slot, hist_nodes)
         if root:
             counts, (valid, found, lc, rc) = self.root_counts
         else:
-            counts = self._hist(k, self._count_weights(live), binned)
+            counts = self._hist(k, self._count_weights(live), hist_nodes)
             if right is not None:
                 counts = _siblings(counts, parent_counts[split], right)
             valid, found, lc, rc = self._split_counts(np.cumsum(counts, axis=3), nodes)
         if not found.any():
             return np.full(nodes, -1), np.full(nodes, -1), None
-        masses = self._hist(k, self._repeat(w), binned)
+        masses = self._hist(k, self._repeat(w), hist_nodes)
         if right is not None:
             masses = np.where(counts > 0, _siblings(masses, parent_masses[split], right), 0.0)
         left = np.cumsum(masses, axis=3)[..., :-1]

@@ -594,16 +594,23 @@ class TestLevelGrowth:
 
     @pytest.mark.parametrize("algo", ["fs", "gb"])
     @pytest.mark.parametrize("min_leaf", [5, 60])
-    @pytest.mark.parametrize("subtract_keys", [boost._SUBTRACT_KEYS, 0])
-    def test_matches_depth_first_growth(self, algo, min_leaf, subtract_keys, shifted_2d,
-                                        monkeypatch):
+    def test_matches_depth_first_growth(self, algo, min_leaf, shifted_2d):
         """20 trees of _fit_boost against the boosting loop with the
         depth-first grower: equal split structure and thresholds, betas
         within 1e-12. With min_leaf_total 60 some nodes above max_depth
-        have no valid split and become leaves. At subtract_keys 0 every
-        depth below the root takes histograms by subtraction."""
-        monkeypatch.setattr(boost, "_SUBTRACT_KEYS", subtract_keys)
-        data, grid = shifted_2d
+        have no valid split and become leaves."""
+        self._check_depth_first(algo, min_leaf, *shifted_2d)
+
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    @pytest.mark.parametrize("min_leaf", [5, 60])
+    def test_subtraction_matches_depth_first_growth(self, algo, min_leaf, shifted_2d,
+                                                    monkeypatch):
+        """The same, with every depth below the root taking its histograms
+        by subtraction."""
+        monkeypatch.setattr(boost, "_SUBTRACT_KEYS", 0)
+        self._check_depth_first(algo, min_leaf, *shifted_2d)
+
+    def _check_depth_first(self, algo, min_leaf, data, grid):
         config = BoostConfig(algorithm=algo, max_trees=20, min_leaf_total=min_leaf)
         model = _fit_boost(data, grid, config, 20)
         cells0, _, inv0 = grid.cells(grid.bin_indices(data.sample0))

@@ -207,7 +207,18 @@ def _config_fault(kind, action, value):
     return None if type(value) is str else "a string"
 
 
+def _check_out_dirs(args, *dests) -> None:
+    """Fail before any work when the directory of an output path is
+    missing, since it would otherwise fail only when the result is written."""
+    for dest in dests:
+        path = getattr(args, dest)
+        parent = os.path.dirname(path) if path is not None else ""
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"--{dest} {path}: {parent} is not a directory")
+
+
 def _cmd_fit(args) -> int:
+    _check_out_dirs(args, "out")
     config = boost.BoostConfig(
         algorithm=args.algo, max_trees=args.max_trees, max_depth=args.depth,
         learning_rate=args.nu, cv_folds=args.cv_folds,
@@ -222,6 +233,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_out_dirs(args, "out")
     model = boost.EnsembleModel.load(args.model)
     pts = load_matrix(args.points)
     save_matrix(args.out, boost.predict_log_ratio(model, pts).reshape(-1, 1))
@@ -239,6 +251,7 @@ def _parse_quantiles(text: str) -> list:
 
 def _cmd_bayes(args) -> int:
     # checked before sampling, which takes minutes at the paper defaults
+    _check_out_dirs(args, "out", "trace")
     quantiles = _parse_quantiles(args.quantiles)
     if args.draws < 1:
         raise ValueError("--draws must be >= 1")
@@ -264,6 +277,7 @@ def _cmd_bayes(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out_dirs(args, "out0", "out1", "truth")
     scenario = simulate.make_scenario(args.scenario, seed=args.seed)
     data = simulate.generate(scenario, args.n0, args.n1, seed=args.seed)
     save_matrix(args.out0, data.sample0)
@@ -351,6 +365,7 @@ def run_bench(scenarios, sizes, methods, replicates, seed,
 
 
 def _cmd_bench(args) -> int:
+    _check_out_dirs(args, "out")
     scenarios = args.scenario or list(simulate.SCENARIO_NAMES)
     sizes = [s for s in args.sizes.split(",") if s]
     for s in sizes:

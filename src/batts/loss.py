@@ -28,8 +28,9 @@ def check_log_weights(*log_arrays) -> None:
     """Reject any entry that does not satisfy |a| <= LOG_WEIGHT_LIMIT,
     NaN and infinities included."""
     for a in log_arrays:
-        # the max propagates NaN, and a comparison with NaN is false
-        if a.size and not np.max(np.abs(a)) <= LOG_WEIGHT_LIMIT:
+        # the max propagates NaN, and a comparison with NaN is false; the
+        # ndarray method skips np.max's dispatch
+        if a.size and not np.abs(a).max() <= LOG_WEIGHT_LIMIT:
             raise DivergedModelError(
                 f"|log w| exceeded {LOG_WEIGHT_LIMIT} or is not a number; "
                 "the model has diverged"

@@ -13,7 +13,8 @@ import pytest
 
 import batts
 import batts.cli  # noqa: F401  (a traced site)
-from batts import BoostConfig, build_cut_grid, fit, generate, make_scenario
+from batts import (BoostConfig, GibbsConfig, build_cut_grid, fit, generate, make_scenario,
+                   run_sampler)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -59,3 +60,16 @@ def test_split_hit_ratio_of_a_fitted_model(tracing):
     model = fit(data, build_cut_grid(data, 15), BoostConfig(max_trees=5, seed=1),
                 select=False)
     assert 0.0 < tracing.split_hit_ratio(model.trees) <= 1.0
+
+
+def test_sampler_sites_are_reached(tracing):
+    """The gibbs layer metrics count the calls that reach the wrapped names:
+    one mh_tree_move per tree and sweep, and leaf log-likelihoods through
+    the module-level integrated_leaf_loglik."""
+    data = generate(make_scenario("GlobalShift2D"), 150, 150, seed=1)
+    config = GibbsConfig(n_trees=10, burn_in=5, draws=5, seed=1)
+    tracer = tracing.Tracer(batts)
+    tracer.run(lambda: run_sampler(data, build_cut_grid(data, 15), config))
+    calls = {label: total[0] for label, total in tracer.totals().items()}
+    assert calls["gibbs.mh_tree_move"] == (config.burn_in + config.draws) * config.n_trees
+    assert calls["gibbs.integrated_leaf_loglik"] > 0

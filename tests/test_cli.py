@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from batts import build_cut_grid, cli, gibbs, simulate
+from batts import boost, build_cut_grid, cli, gibbs, simulate
 from batts.cli import dispatch, run_bench
 from batts.data import load_matrix
 
@@ -164,6 +164,55 @@ class TestBayesCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: burn_in must be an integer\n"
         assert not out.exists()
+
+
+class TestMissingOutputDirectory:
+    """An output path in a missing directory fails with a one-line error that
+    names the flag and the path, before any input is read or work starts."""
+
+    @staticmethod
+    def _never(what):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{what} was entered")
+        return never
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--out"), ("bayes", "--out"), ("bayes", "--trace"), ("bench", "--out"),
+        ("predict", "--out"), ("simulate", "--out0"), ("simulate", "--out1"),
+        ("simulate", "--truth")])
+    def test_rejected_before_work(self, tmp_path, capsys, monkeypatch, command, flag):
+        for owner, name in [(cli, "load_dataset"), (cli, "load_matrix"), (boost, "fit"),
+                            (gibbs, "run_sampler"), (cli, "run_bench"),
+                            (boost.EnsembleModel, "load"), (simulate, "generate")]:
+            monkeypatch.setattr(owner, name, self._never(name))
+        inputs = {"fit": ["--sample0", "s0.csv", "--sample1", "s1.csv"],
+                  "bayes": ["--sample0", "s0.csv", "--sample1", "s1.csv"],
+                  "bench": [], "predict": ["--model", "m.json", "--points", "p.csv"],
+                  "simulate": ["--scenario", "GlobalShift2D", "--n0", "5", "--n1", "5"]}
+        outputs = {"fit": ["--out"], "bayes": ["--out", "--trace"], "bench": ["--out"],
+                   "predict": ["--out"], "simulate": ["--out0", "--out1", "--truth"]}
+        paths = {f: tmp_path / f"{f[2:]}.csv" for f in outputs[command]}
+        bad = paths[flag] = tmp_path / "nodir" / "result.csv"
+        argv = [command, *inputs[command]] + [x for f, p in paths.items() for x in (f, str(p))]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {bad}: {bad.parent} is not a directory\n")
+        assert not any(p.exists() for p in paths.values())
+
+    def test_path_under_a_file_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", self._never("load_dataset"))
+        (tmp_path / "plain").write_text("")
+        bad = tmp_path / "plain" / "model.json"
+        assert dispatch(["fit", "--sample0", "s0.csv", "--sample1", "s1.csv",
+                         "--out", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: --out {bad}: {bad.parent} is not a directory\n"
+
+    def test_bare_file_name_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "2", "--no-cv", "--out", "model.json"]) == 0
+        assert (tmp_path / "model.json").exists()
 
 
 class TestBench:

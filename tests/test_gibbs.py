@@ -16,6 +16,7 @@ from batts import (
 )
 from batts.data import CutGrid
 from batts.gibbs import (
+    GROW,
     MoveContext,
     PosteriorDraws,
     SamplerTree,
@@ -166,7 +167,7 @@ class TestHotPathOracles:
             np.testing.assert_array_equal(ctx.w1[:C], counts1 * np.exp(logw[:C]))
             assert np.all(ctx.w0[C:] == 0) and np.all(ctx.w1[C:] == 0)
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            _resample_betas(tree, ctx, mine)
+            _resample_betas(tree, ctx, mine, *ctx.leaf_sums(tree))
             # the replaced code: bincounts over all cells, numpy full conditional
             s0 = np.bincount(tree.leaf_idx, weights=ctx.w0, minlength=3)
             s1 = np.bincount(tree.leaf_idx, weights=ctx.w1, minlength=3)
@@ -303,7 +304,7 @@ class TestSamplerTreeBookkeeping:
                           10.0, TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
         tree = SamplerTree(30, even=False)
         for _ in range(n_moves):
-            move, ok = mh_tree_move(tree, ctx, gen)
+            move, ok, _, _ = mh_tree_move(tree, ctx, gen)
             tree.betas = gen.permutation(tree.n_leaves()) + 1.0
             yield tree, X, move, ok
 
@@ -519,6 +520,60 @@ def _cell_sample(gen, n0=150, n1=90, bins_per_dim=4):
     return grid, rows, cell_bins, inverse, counts0, counts1
 
 
+def _routed_slots(tree, bins, cuts):
+    """Each cell's leaf slot, found by walking the tree's rules from the root:
+    a cell goes left of cut j of a dimension when its bin there is <= j."""
+    out = np.empty(bins.shape[0], dtype=np.int64)
+    for r, row in enumerate(bins.tolist()):
+        i = 0
+        while tree.feature[i] >= 0:
+            d = tree.feature[i]
+            j = cuts[d].tolist().index(tree.value[i])
+            i = i + 1 if row[d] <= j else tree.right[i]
+        out[r] = tree.slot[i]
+    return out
+
+
+class TestSharedLeafSums:
+    """mh_tree_move hands the beta redraw the leaf sums of the tree after
+    the move, taken from the bincounts of its MH ratio."""
+
+    def test_sums_and_leaf_index_after_every_move(self):
+        gen = np.random.default_rng(51)
+        outcomes = np.zeros((3, 2), dtype=int)  # move x (rejected, accepted)
+        drops = {"last": 0, "not last": 0}
+        for trial in range(40):
+            grid, rows, cell_bins, inverse, counts0, counts1 = _cell_sample(gen)
+            C = cell_bins.shape[0]
+            # evaluation-only cells after the training prefix, as run_sampler lays them out
+            bins = np.vstack([cell_bins, [[9, 9], [9, 0], [0, 9], [3, 0]]])
+            ctx = MoveContext(bins, grid.cuts, counts0, counts1, 150 / 240, 10.0,
+                              TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+            tree = SamplerTree(bins.shape[0], even=bool(trial % 2))
+            prune = tree.apply_prune
+
+            def spy(i, tree=tree, prune=prune):
+                drops["last" if tree.slot[i + 2] == tree.n_leaves() - 1 else "not last"] += 1
+                prune(i)
+
+            tree.apply_prune = spy
+            for _ in range(60):
+                ctx.tau = float(gen.choice([0.0, 1.0, 20.0]))
+                ctx.set_residual(gen.normal(0.0, 0.5, size=bins.shape[0]))
+                stump = tree.n_leaves() == 1  # PRUNE and CHANGE are no-ops there
+                move, ok, s0, s1 = mh_tree_move(tree, ctx, gen)
+                outcomes[move, int(ok)] += move == GROW or not stump
+                assert len(s0) == len(s1) == tree.n_leaves()
+                want0, want1 = ctx.leaf_sums(tree)
+                np.testing.assert_allclose(s0, want0, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(s1, want1, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(tree.leaf_idx,
+                                              _routed_slots(tree, bins, grid.cuts))
+                assert np.all(tree.leaf_idx[C:] < tree.n_leaves())
+        assert outcomes.min() >= 50, outcomes
+        assert min(drops.values()) >= 20, drops
+
+
 class TestCells:
     """The sampler's state per occupied grid cell against the same state per row."""
 
@@ -544,10 +599,12 @@ class TestCells:
             by_row.set_residual(logw[inverse])
             for got, want in zip(cells.leaf_sums(tree), by_row.leaf_sums(row_tree)):
                 np.testing.assert_allclose(got, want, rtol=1e-12)
+            # each slot's sums against its rows' masses, selected and summed directly
+            got = np.array(cells.leaf_sums(tree))
             for slot in range(tree.n_leaves()):
-                got = cells.leaf_stats(tree.rows_of(slot))
-                want = by_row.leaf_stats(row_tree.rows_of(slot))
-                np.testing.assert_allclose(got, want, rtol=1e-12)
+                rows_in = row_tree.leaf_idx == slot
+                want = (by_row.w0[rows_in].sum(), by_row.w1[rows_in].sum())
+                np.testing.assert_allclose(got[:, slot], want, rtol=1e-12)
 
     def test_evaluation_only_cells_carry_zero_weight(self):
         gen = np.random.default_rng(32)

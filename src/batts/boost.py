@@ -144,6 +144,8 @@ class EnsembleModel:
 
     def _fault(self) -> str | None:
         """The first reason the model cannot be evaluated, or None."""
+        if self.dim < 1:
+            return f"dim {self.dim} is below 1"
         if self.algorithm not in ("fs", "gb"):
             return f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'"
         for name, v in (("nu", self.learning_rate), ("offset", self.offset)):

@@ -16,6 +16,9 @@ from .loss import check_log_weights, finite_sample_loss
 from .tree import DecisionTree, TreePrior
 
 GROW, PRUNE, CHANGE = 0, 1, 2
+# each move is proposed w.p. 1/3: the cdf that Generator.choice(3) searches
+# for p = (1/3, 1/3, 1/3)
+_MOVE_CDF = (1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
 @dataclass
@@ -28,7 +31,6 @@ class GibbsConfig:
     b0_tau: float = 1.0
     burn_in: int = 2000
     draws: int = 1000
-    move_probs: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -43,9 +45,6 @@ class GibbsConfig:
             raise ValueError("lambda0 must be positive and finite")
         if not (0 < self.a0_tau < math.inf and 0 < self.b0_tau < math.inf):
             raise ValueError("a0_tau and b0_tau must be positive and finite")
-        p = np.asarray(self.move_probs, dtype=np.float64)
-        if p.shape != (3,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
-            raise ValueError("move_probs must be three nonnegative values summing to 1")
         if self.burn_in < 0 or self.draws < 0:
             raise ValueError("burn_in and draws must be >= 0")
         if self.seed < 0:
@@ -211,7 +210,7 @@ class MoveContext:
     """
 
     def __init__(self, bins, cuts, counts0: np.ndarray, counts1: np.ndarray,
-                 zeta: float, lam: float, prior: TreePrior, move_probs):
+                 zeta: float, lam: float, prior: TreePrior):
         # one contiguous bin column per dimension, for the moves' cell splits
         self.columns = [np.ascontiguousarray(bins[:, d]) for d in range(bins.shape[1])]
         self.cuts = cuts
@@ -226,14 +225,6 @@ class MoveContext:
         self.zeta = zeta
         self.lam = lam
         self.prior = prior
-        # Generator.choice(3, p=move_probs) draws one uniform and searches
-        # this normalized cdf with side="right"
-        cdf = np.cumsum(np.asarray(move_probs, dtype=np.float64))
-        cdf /= cdf[-1]
-        self.cdf = cdf.tolist()
-
-    def draw_move(self, rng: np.random.Generator) -> int:
-        return bisect_right(self.cdf, rng.random())
 
     def set_residual(self, logw: np.ndarray) -> None:
         w0, w1 = self._w0, self._w1
@@ -255,6 +246,12 @@ class MoveContext:
         return self.key_sums(tree.leaf_idx, tree.n_leaves())
 
 
+def draw_move(rng: np.random.Generator) -> int:
+    """GROW, PRUNE or CHANGE, as Generator.choice(3) draws it: one uniform,
+    searched in the cdf with side="right"."""
+    return bisect_right(_MOVE_CDF, rng.random())
+
+
 def _grow_factor(prior: TreePrior, depth: int) -> float:
     a, b = prior.a_T, prior.b_T
     return a * (1.0 - a * (2.0 + depth) ** (-b)) ** 2 / ((1.0 + depth) ** b - a)
@@ -268,7 +265,7 @@ def mh_tree_move(tree: SamplerTree, ctx: MoveContext,
     move, as MoveContext.leaf_sums, from the bincount pair of the MH ratio.
     PRUNE/CHANGE on a root-only tree are no-ops counted as rejections.
     """
-    move = ctx.draw_move(rng)
+    move = draw_move(rng)
     feature = tree.feature
     # Leaves and second-generation internal nodes (internal nodes whose two
     # children are leaves), in preorder. An internal node whose left child
@@ -427,16 +424,10 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     counts0 = np.bincount(inverse[:n0], minlength=C).astype(np.float64)
     counts1 = np.bincount(inverse[n0:n], minlength=C).astype(np.float64)
     ctx = MoveContext(cell_bins, grid.cuts, counts0, counts1, data.zeta,
-                      config.leaf_precision, config.tree_prior(), config.move_probs)
+                      config.leaf_precision, config.tree_prior())
     trees = [SamplerTree(n_cells, even=(k % 2 == 1)) for k in range(config.n_trees)]
     logw = np.zeros(n_cells)
     train_logw = logw[:C]
-    if n_cells == X.shape[0]:
-        # each row is its own cell, and tau takes the two groups' row slices
-        lw0, lw1, c0, c1 = logw[:n0], logw[n0:n], None, None
-    else:
-        lw0 = lw1 = train_logw
-        c0, c1 = counts0, counts1
     tau = 0.0 if prior_only else config.a0_tau / config.b0_tau
     total = config.burn_in + config.draws
     # the draws are kept per distinct cell of the evaluation points
@@ -464,7 +455,8 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
         attempts[sweep] = tried
         accepts[sweep] = taken
         if not prior_only:
-            tau = update_tau(lw0, lw1, config.a0_tau, config.b0_tau, rng, c0, c1)
+            tau = update_tau(train_logw, train_logw, config.a0_tau, config.b0_tau, rng,
+                             counts0, counts1)
         if (sweep + 1) % 100 == 0:
             _verify_state(trees, X, logw, inverse)
         if sweep >= config.burn_in:

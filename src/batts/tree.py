@@ -10,9 +10,9 @@ import numpy as np
 
 
 class Node:
-    """A read-only view of one tree node, built by DecisionTree.root and
-    DecisionTree.leaves(). Internal nodes carry (dim, threshold); leaves
-    carry beta. Values <= threshold go to the left child.
+    """A read-only view of one tree node, built by DecisionTree.root.
+    Internal nodes carry (dim, threshold); leaves carry beta. Values <=
+    threshold go to the left child.
     """
 
     __slots__ = ("depth", "dim", "threshold", "left", "right", "beta")
@@ -49,70 +49,45 @@ class DecisionTree:
         self.value = np.asarray(value, dtype=np.float64)
         self.dim = dim
 
-    def _nodes(self) -> list:
-        """The tree as linked Nodes, in preorder."""
-        feature, right, value = self.feature.tolist(), self.right.tolist(), self.value.tolist()
-        depth = self._depths()
-        nodes = [None] * len(feature)
-        # children follow their parent in preorder, so build back to front
-        for i in reversed(range(len(feature))):
-            if feature[i] < 0:
-                nodes[i] = Node(depth=depth[i], beta=value[i])
-            else:
-                nodes[i] = Node(depth=depth[i], dim=feature[i], threshold=value[i],
-                                left=nodes[i + 1], right=nodes[right[i]])
-        return nodes
-
-    def _depths(self) -> list:
-        """Each node's depth, read off the preorder arrays."""
-        feature, right = self.feature.tolist(), self.right.tolist()
-        depth = [0] * len(feature)
-        for i, f in enumerate(feature):
-            if f >= 0:
-                depth[i + 1] = depth[right[i]] = depth[i] + 1
-        return depth
-
     @property
     def root(self) -> Node:
         """The root of the tree as linked Nodes, built on each access."""
-        return self._nodes()[0]
+        feature, right, value = self.feature.tolist(), self.right.tolist(), self.value.tolist()
+        nodes = [Node(0) for _ in feature]
+        # a parent precedes its children in preorder, so its depth is set first
+        for i, node in enumerate(nodes):
+            if feature[i] < 0:
+                node.beta = value[i]
+            else:
+                node.dim, node.threshold = feature[i], value[i]
+                node.left, node.right = nodes[i + 1], nodes[right[i]]
+                node.left.depth = node.right.depth = node.depth + 1
+        return nodes[0]
 
-    def leaves(self) -> list:
-        """Leaf Nodes from left to right."""
-        return [node for node in self._nodes() if node.is_leaf]
+    def leaf_index(self, X) -> np.ndarray:
+        """The preorder index of the leaf that each row of X reaches.
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._points(X)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for leaf, idx in self._route(X):
-            out[idx] = self.value[leaf]
-        return out
-
-    def _points(self, X) -> np.ndarray:
+        Every row steps one depth per pass, until no row sits on a split.
+        A NaN coordinate compares false, so it goes right.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have {X.shape[1] if X.ndim == 2 else '?'} columns, "
                              f"tree expects {self.dim}")
-        return X
-
-    def _route(self, X: np.ndarray) -> list:
-        """(leaf node, row indices of X that reach it), leaves left to right."""
         feature, right, value = self.feature, self.right, self.value
-        routed = []
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            i, idx = stack.pop()
-            if feature[i] < 0:
-                routed.append((i, idx))
-                continue
-            go_left = X[idx, feature[i]] <= value[i]
-            # the left child is pushed last, so it is routed (and emitted) first
-            stack.append((right[i], idx[~go_left]))
-            stack.append((i + 1, idx[go_left]))
-        return routed
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        while True:
+            dim = feature[node]
+            split = dim >= 0
+            if not split.any():
+                return node
+            # a leaf's -1 reads the last column, and where keeps the leaf
+            go_left = X[rows, dim] <= value[node]
+            node = np.where(split, np.where(go_left, node + 1, right[node]), node)
 
-    def max_depth(self) -> int:
-        return max(self._depths())
+    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
+        return self.value[self.leaf_index(X)]
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature < 0))

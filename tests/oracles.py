@@ -81,8 +81,18 @@ def evaluate(tree: DecisionTree, x) -> float:
 
 
 def leaf_memberships(tree: DecisionTree, X: np.ndarray) -> list:
-    """Row indices of X per leaf, in leaves() order."""
-    return [idx for _, idx in tree._route(tree._points(X))]
+    """Row indices of X per leaf, leaves left to right (in preorder)."""
+    leaf = tree.leaf_index(X)
+    return [np.flatnonzero(leaf == i) for i in np.flatnonzero(tree.feature < 0)]
+
+
+def node_depths(tree: DecisionTree) -> np.ndarray:
+    """Each node's depth, read off the preorder arrays."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    # a parent precedes its children in preorder, so its depth is set first
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
+    return depth
 
 
 def log_weight_by_rows(model, X) -> np.ndarray:

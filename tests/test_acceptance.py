@@ -38,7 +38,7 @@ from batts.gibbs import (
     mh_tree_move,
 )
 from batts.simulate import AMBIENT_DIM, SCENARIO_NAMES
-from oracles import prior_log_weight_draws, sample_tree_from_prior
+from oracles import node_depths, prior_log_weight_draws, sample_tree_from_prior
 
 
 def _textbook_boost_floor(data, truth, config):
@@ -356,8 +356,8 @@ class TestCriterion9PriorRecovery:
         tree = SamplerTree(20, even=False)
         # each row is its own cell, with 0/1 group counts
         group0 = (np.arange(20) < 10).astype(float)
-        ctx = MoveContext(bins, grid.cuts, group0, 1.0 - group0, 0.5, 10.0, prior,
-                          (1 / 3, 1 / 3, 1 / 3))  # tau starts at 0
+        # tau starts at 0
+        ctx = MoveContext(bins, grid.cuts, group0, 1.0 - group0, 0.5, 10.0, prior)
         rng = np.random.default_rng(42)
         n_sweeps = 100_000
         depth = np.empty(n_sweeps, dtype=np.int64)
@@ -367,7 +367,7 @@ class TestCriterion9PriorRecovery:
         assert abs(np.mean(depth > 0) - 0.95) < 0.01
         ref_gen = np.random.default_rng(7)
         ref = np.array([
-            sample_tree_from_prior(prior, grid, ref_gen).max_depth()
+            node_depths(sample_tree_from_prior(prior, grid, ref_gen)).max()
             for _ in range(100_000)
         ])
         thinned = depth[::50]  # decorrelate the chain before the chi-squared

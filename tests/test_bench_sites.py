@@ -9,12 +9,15 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import batts
 import batts.cli  # noqa: F401  (a traced site)
-from batts import (BoostConfig, GibbsConfig, build_cut_grid, fit, generate, make_scenario,
-                   run_sampler)
+from batts import (BoostConfig, GibbsConfig, TreePrior, build_cut_grid, fit, generate,
+                   make_scenario, run_sampler)
+from batts.data import CutGrid
+from oracles import node_depths, sample_tree_from_prior
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -53,13 +56,41 @@ def test_one_boost_log_weight_check_per_grown_tree(tracing):
     assert checks.size == config.cv_folds * config.max_trees + len(model.trees)
 
 
+def _split_hit_ratio_of_arrays(trees, max_depth):
+    """split_hit_ratio counted on the preorder arrays: internal nodes, and
+    leaves shallower than max_depth."""
+    internal = shallow = 0
+    for tree in trees:
+        leaf = tree.feature < 0
+        internal += int(np.count_nonzero(~leaf))
+        shallow += int(np.count_nonzero(node_depths(tree)[leaf] < max_depth))
+    return internal / (internal + shallow)
+
+
 def test_split_hit_ratio_of_a_fitted_model(tracing):
     """The bench walks the linked Nodes of tree.root to count the splits of
-    a fit, so a model's ratio must come out in (0, 1]."""
+    a fit, so a model's ratio must come out in (0, 1], and equal the count
+    taken on the preorder arrays."""
     data = generate(make_scenario("GlobalShift2D"), 150, 150, seed=1)
     model = fit(data, build_cut_grid(data, 15), BoostConfig(max_trees=5, seed=1),
                 select=False)
-    assert 0.0 < tracing.split_hit_ratio(model.trees) <= 1.0
+    ratio = tracing.split_hit_ratio(model.trees)
+    assert 0.0 < ratio <= 1.0
+    assert ratio == _split_hit_ratio_of_arrays(model.trees, tracing.MAX_DEPTH)
+
+
+def test_split_hit_ratio_of_deep_trees(tracing):
+    """Trees from the split prior reach past the bench's depth cap, so both
+    leaves above and below it are counted."""
+    grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
+    gen = np.random.default_rng(3)
+    trees = [sample_tree_from_prior(TreePrior(0.95, 0.5), grid, gen, max_depth=8)
+             for _ in range(200)]
+    assert max(node_depths(t).max() for t in trees) > tracing.MAX_DEPTH
+    for chunk in range(0, len(trees), 20):
+        some = trees[chunk:chunk + 20]
+        assert tracing.split_hit_ratio(some) == _split_hit_ratio_of_arrays(
+            some, tracing.MAX_DEPTH)
 
 
 def test_sampler_sites_are_reached(tracing):

@@ -29,7 +29,7 @@ from batts.boost import _boost, _cells, _fit_boost, _fold, _Grower, _tree, cv_lo
 from batts.data import CutGrid
 from batts.loss import finite_sample_loss, optimal_leaf_value, rebalance, row_masses
 from oracles import (hellinger_split_score, leaf_memberships, log_weight_by_rows,
-                     sample_tree_from_prior, tree_from_dict)
+                     node_depths, sample_tree_from_prior, tree_from_dict)
 
 
 class TestConfig:
@@ -385,7 +385,7 @@ class TestSplitSearch:
         model = _fit_boost(data, grid,
                            BoostConfig(algorithm="gb", max_trees=10,
                                        max_depth=2), 10)
-        assert max(t.max_depth() for t in model.trees) <= 2
+        assert max(node_depths(t).max() for t in model.trees) <= 2
 
 
 class TestTrainingBehaviour:
@@ -1079,6 +1079,18 @@ class TestPersistence:
             for name in ("starts", "feature", "right", "value"):
                 a, b = getattr(clone, name), getattr(oracle, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_load_refuses_a_dimension_below_one(self, tmp_path, dim):
+        """Stump trees split on no dimension, so only the model's dim can
+        be at fault."""
+        path = tmp_path / "model.json"
+        for trees in ([], [{"beta": 0.5}]):
+            path.write_text(json.dumps({"algorithm": "gb", "nu": 0.1, "offset": 0.0,
+                                        "dim": dim, "trees": trees}))
+            with pytest.raises(ValueError) as err:
+                EnsembleModel.load(path)
+            assert str(err.value) == f"model file {path}: dim {dim} is below 1"
 
     def test_load_peak_memory_is_a_few_file_sizes(self, tmp_path):
         """The node objects become tuples as they are parsed, so loading a

@@ -498,6 +498,8 @@ class TestMalformedModel:
         "infinite split dim": (
             lambda d: TestMalformedModel._split_node(d).update(dim=float("inf")),
             "malformed value (split dimension inf is not an integer)"),
+        "model dim 0": (lambda d: d.update(dim=0, trees=[{"beta": 0.1}]), "dim 0 is below 1"),
+        "model dim -1": (lambda d: d.update(dim=-1, trees=[]), "dim -1 is below 1"),
         "fractional model dim": (lambda d: d.update(dim=2.5),
                                  "malformed value (dim 2.5 is not an integer)"),
         "fractional seed": (lambda d: d.update(seed=2.5),

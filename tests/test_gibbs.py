@@ -16,7 +16,9 @@ from batts import (
 )
 from batts.data import CutGrid
 from batts.gibbs import (
+    CHANGE,
     GROW,
+    PRUNE,
     MoveContext,
     PosteriorDraws,
     SamplerTree,
@@ -25,6 +27,7 @@ from batts.gibbs import (
     _resample_betas,
     _verify_state,
     column_quantiles,
+    draw_move,
     integrated_leaf_loglik,
     mh_tree_move,
     sample_inverse_gaussian,
@@ -128,16 +131,13 @@ class TestIntegratedLoglik:
 class TestHotPathOracles:
     """The sampler's per-tree update against the numpy code it replaced."""
 
-    @pytest.mark.parametrize("p", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.5, 0.5, 0.0)])
-    def test_move_pick_equals_generator_choice(self, p):
-        ctx = MoveContext(np.zeros((1, 1), dtype=np.int64), [np.array([0.0])],
-                          np.ones(1), np.ones(1), 0.5, 10.0, TreePrior(), p)
+    def test_move_pick_equals_generator_choice(self):
         mine, ref = np.random.default_rng(17), np.random.default_rng(17)
-        picks = [ctx.draw_move(mine) for _ in range(10_000)]
-        expected = [int(ref.choice(3, p=p)) for _ in range(10_000)]
+        picks = [draw_move(mine) for _ in range(10_000)]
+        expected = [int(ref.choice(3, p=(1 / 3, 1 / 3, 1 / 3))) for _ in range(10_000)]
         assert picks == expected
         assert mine.bit_generator.state == ref.bit_generator.state
-        assert set(picks) == {k for k in range(3) if p[k] > 0}
+        assert set(picks) == {GROW, PRUNE, CHANGE}
 
     @pytest.mark.parametrize("even", [False, True])
     def test_beta_redraw_equals_vectorized_sampler(self, even):
@@ -158,8 +158,7 @@ class TestHotPathOracles:
             counts0, counts1 = counts[seed % 2]
             # small lam and tau make every term of the transform matter
             ctx = MoveContext(bins, [np.arange(7.0), np.arange(7.0)], counts0, counts1,
-                              n0 / C, gen.uniform(0.5, 50.0), TreePrior(),
-                              (1 / 3, 1 / 3, 1 / 3))
+                              n0 / C, gen.uniform(0.5, 50.0), TreePrior())
             ctx.tau = gen.uniform(0.0, 2.0)
             logw = gen.normal(0.0, 0.5, size=N)
             ctx.set_residual(logw)
@@ -301,7 +300,7 @@ class TestSamplerTreeBookkeeping:
         X = data.pooled()
         group0 = (np.arange(30) < 15).astype(float)
         ctx = MoveContext(grid.bin_indices(X), grid.cuts, group0, 1.0 - group0, data.zeta,
-                          10.0, TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+                          10.0, TreePrior(0.95, 0.5))
         tree = SamplerTree(30, even=False)
         for _ in range(n_moves):
             move, ok, _, _ = mh_tree_move(tree, ctx, gen)
@@ -351,7 +350,6 @@ class TestGibbsConfig:
         {"n_trees": 3},
         {"n_trees": 0},
         {"lambda0": 0.0},
-        {"move_probs": (0.5, 0.5, 0.5)},
         {"burn_in": -1},
         {"a0_tau": -1.0},
         {"b0_tau": 0.0},
@@ -548,7 +546,7 @@ class TestSharedLeafSums:
             # evaluation-only cells after the training prefix, as run_sampler lays them out
             bins = np.vstack([cell_bins, [[9, 9], [9, 0], [0, 9], [3, 0]]])
             ctx = MoveContext(bins, grid.cuts, counts0, counts1, 150 / 240, 10.0,
-                              TreePrior(0.95, 0.5), (0.4, 0.3, 0.3))
+                              TreePrior(0.95, 0.5))
             tree = SamplerTree(bins.shape[0], even=bool(trial % 2))
             prune = tree.apply_prune
 
@@ -584,7 +582,7 @@ class TestCells:
             grid, rows, cell_bins, inverse, counts0, counts1 = _cell_sample(gen, n0, n1)
             assert cell_bins.shape[0] < rows.shape[0] // 4
             group0 = (np.arange(n0 + n1) < n0).astype(float)
-            rest = (n0 / (n0 + n1), 10.0, TreePrior(0.95, 0.5), (0.6, 0.2, 0.2))
+            rest = (n0 / (n0 + n1), 10.0, TreePrior(0.95, 0.5))
             cells = MoveContext(cell_bins, grid.cuts, counts0, counts1, *rest)
             by_row = MoveContext(rows, grid.cuts, group0, 1.0 - group0, *rest)
             # a random tree state: prior moves on cells, the same tree on rows
@@ -613,8 +611,7 @@ class TestCells:
         # evaluation-only cells after the training prefix, as run_sampler lays them out
         extra = np.array([[9, 9], [9, 0], [0, 9]])
         bins = np.vstack([cell_bins, extra])
-        ctx = MoveContext(bins, grid.cuts, counts0, counts1, 0.5, 10.0, TreePrior(),
-                          (1 / 3, 1 / 3, 1 / 3))
+        ctx = MoveContext(bins, grid.cuts, counts0, counts1, 0.5, 10.0, TreePrior())
         tree = SamplerTree(bins.shape[0], even=False)
         tree.apply_grow(0, 0, 1.0, np.nonzero(bins[:, 0] > 1)[0])
         ctx.set_residual(gen.normal(0.0, 1.0, size=bins.shape[0]))
@@ -702,7 +699,7 @@ class TestCells:
         group0 = np.bincount(inverse[:data.n0], minlength=C).astype(float)
         group1 = np.bincount(inverse[data.n0:], minlength=C).astype(float)
         ctx = MoveContext(cell_bins, grid.cuts, group0, group1, data.zeta, 10.0,
-                          TreePrior(0.95, 0.5), (0.6, 0.2, 0.2))
+                          TreePrior(0.95, 0.5))
         gen = np.random.default_rng(35)
         trees = [SamplerTree(C, even=bool(k % 2)) for k in range(4)]
         for tree in trees:

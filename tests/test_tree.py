@@ -7,7 +7,8 @@ import pytest
 
 from batts import DecisionTree, TreePrior
 from batts.data import CutGrid, TwoSampleDataset
-from oracles import evaluate, leaf_memberships, sample_tree_from_prior, split_probability
+from oracles import (evaluate, leaf_memberships, node_depths, sample_tree_from_prior,
+                     split_probability)
 
 
 def _two_level_tree():
@@ -47,9 +48,27 @@ class TestRouting:
 
     def test_leaves_left_to_right(self):
         t = _two_level_tree()
-        assert [leaf.beta for leaf in t.leaves()] == [-2.0, -1.0, 1.0]
+        assert t.value[t.feature < 0].tolist() == [-2.0, -1.0, 1.0]
         assert t.n_leaves() == 3
-        assert t.max_depth() == 2
+        assert node_depths(t).max() == 2
+
+    def test_leaf_index_is_the_scalar_walk(self, rng):
+        """leaf_index steps every row one depth per pass; the node-by-node
+        walk of one point is the reference, with NaN and infinities (NaN
+        compares false, so it goes right)."""
+        grid = CutGrid((np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)))
+        gen = np.random.default_rng(4)
+        X = rng.standard_normal((200, 2)) * 1.5
+        X[::7, 0] = np.nan
+        X[::11, 1] = np.inf
+        X[::13, 0] = -np.inf
+        for _ in range(40):
+            t = sample_tree_from_prior(TreePrior(0.95, 0.5), grid, gen, max_depth=8)
+            t.value[t.feature < 0] = gen.standard_normal(t.n_leaves())
+            leaf = t.leaf_index(X)
+            assert np.all(t.feature[leaf] < 0)
+            np.testing.assert_array_equal(t.value[leaf], [evaluate(t, x) for x in X])
+        assert t.leaf_index(np.empty((0, 2))).shape == (0,)
 
     def test_leaf_memberships_partition(self, rng):
         t = _two_level_tree()
@@ -86,7 +105,7 @@ class TestSerialization:
 
     def test_depths_restored(self):
         clone = DecisionTree.from_dict(_two_level_tree().to_dict(), 2)
-        assert [leaf.depth for leaf in clone.leaves()] == [2, 2, 1]
+        assert node_depths(clone)[clone.feature < 0].tolist() == [2, 2, 1]
 
 
 class TestPrior:
@@ -132,16 +151,27 @@ class TestPrior:
         gen = np.random.default_rng(9)
         for _ in range(50):
             t = sample_tree_from_prior(TreePrior(0.99, 0.0), grid, gen, max_depth=3)
-            assert t.max_depth() <= 3
+            assert node_depths(t).max() <= 3
 
     def test_max_depth_matches_leaf_depths(self):
-        """max_depth reads depths off the preorder arrays; the linked Nodes
-        of leaves() are the reference."""
+        """node_depths reads depths off the preorder arrays. The linked Nodes
+        of root, walked in preorder, hold the same depths, and each node's
+        split and beta as the arrays give them."""
         grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
         gen = np.random.default_rng(12)
         deepest = 0
         for _ in range(300):
             t = sample_tree_from_prior(TreePrior(0.95, 0.5), grid, gen, max_depth=8)
-            assert t.max_depth() == max(leaf.depth for leaf in t.leaves())
-            deepest = max(deepest, t.max_depth())
+            t.value[t.feature < 0] = gen.standard_normal(t.n_leaves())
+            walked, stack = [], [t.root]
+            while stack:
+                node = stack.pop()
+                walked.append((node.depth, node.dim, node.threshold, node.beta))
+                if not node.is_leaf:
+                    stack += (node.right, node.left)  # the left child is walked first
+            depth = node_depths(t)
+            assert walked == [
+                (d, None, None, v) if f < 0 else (d, f, v, 0.0)
+                for d, f, v in zip(depth.tolist(), t.feature.tolist(), t.value.tolist())]
+            deepest = max(deepest, int(depth.max()))
         assert deepest >= 4

@@ -25,6 +25,7 @@ from .gibbs import (
 from .loss import (
     DivergedModelError,
     finite_sample_loss,
+    optimal_leaf_loss,
     optimal_leaf_value,
     rebalance,
     row_masses,

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset, utf8_fault
-from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_value,
-                   rebalance, row_masses)
+from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_loss,
+                   optimal_leaf_value, rebalance, row_masses)
 from .tree import DecisionTree, json_float, json_int, node_hook
 
 _LOSS_SLACK = 1e-12
@@ -199,7 +199,7 @@ class _Grower:
     The root's count histogram is the same for every tree, so it is taken
     once, in __init__. Below the root, a depth of many keys bins only one
     child of each split and subtracts it from the parent (see search).
-    The fs criterion scores a split by the affinity of its children's masses,
+    The fs criterion scores a split by its children's summed optimal_leaf_loss,
     the gb criterion by the pooled variance of the pseudo-residuals +m0 and
     -m1 (see loss.row_masses), both from the mass histogram. Children with
     rows from only one group, or with fewer than min_leaf_total pooled rows,
@@ -336,7 +336,7 @@ class _Grower:
             # cumulative cancellation can leave tiny negative right masses
             rp = np.maximum(p - lp, 0.0)
             rq = np.maximum(q - lq, 0.0)
-            score = np.sqrt(lp * lq) + np.sqrt(rp * rq)
+            score = optimal_leaf_loss(lp, lq) + optimal_leaf_loss(rp, rq)
         best = np.where(valid, score.reshape(nodes, -1), np.inf).argmin(axis=1)
         dim, cut = np.divmod(best, self.width - 1)
         dim[~found] = -1

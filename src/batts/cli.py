@@ -6,11 +6,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import boost, gibbs, simulate
-from .data import build_cut_grid, load_dataset, load_matrix, save_matrix, utf8_fault
+from .data import CUTS_PER_DIM, build_cut_grid, load_dataset, load_matrix, save_matrix, utf8_fault
 
 SIZES = {"balanced": (5000, 5000), "unbalanced": (9000, 1000)}
 METHODS = ("fs", "gb", "bayes")
@@ -19,19 +20,19 @@ METHODS = ("fs", "gb", "bayes")
 def _add_common_data_flags(p):
     p.add_argument("--sample0", required=True, help="CSV of group-0 draws (numerator)")
     p.add_argument("--sample1", required=True, help="CSV of group-1 draws (denominator)")
-    p.add_argument("--cuts-per-dim", type=int, default=31,
-                   help="equally spaced cut points per dimension (paper default: 31)")
+    p.add_argument("--cuts-per-dim", type=int, default=CUTS_PER_DIM,
+                   help="equally spaced cut points per dimension, as in the paper")
 
 
 def _add_boost_flags(p):
-    p.add_argument("--max-trees", type=int, default=1000,
-                   help="tree-count ceiling (paper default: 1000)")
-    p.add_argument("--depth", type=int, default=4,
-                   help="maximum tree depth (paper default: 4)")
-    p.add_argument("--nu", type=float, default=0.01,
-                   help="learning rate (paper default: 0.01)")
-    p.add_argument("--cv-folds", type=int, default=5,
-                   help="cross-validation folds for tree-count selection (paper default: 5)")
+    p.add_argument("--max-trees", type=int, default=boost.BoostConfig.max_trees,
+                   help="tree-count ceiling, as in the paper")
+    p.add_argument("--depth", type=int, default=boost.BoostConfig.max_depth,
+                   help="maximum tree depth, as in the paper")
+    p.add_argument("--nu", type=float, default=boost.BoostConfig.learning_rate,
+                   help="learning rate, as in the paper")
+    p.add_argument("--cv-folds", type=int, default=boost.BoostConfig.cv_folds,
+                   help="cross-validation folds for tree-count selection, as in the paper")
 
 
 class _Command(argparse.ArgumentParser):
@@ -73,14 +74,14 @@ def build_parser():
 
     p = command("fit", "fit a boosting model")
     _add_common_data_flags(p)
-    p.add_argument("--algo", choices=("fs", "gb"), default="gb",
+    p.add_argument("--algo", choices=("fs", "gb"), default=boost.BoostConfig.algorithm,
                    help="forward-stagewise or gradient boosting")
     _add_boost_flags(p)
     p.add_argument("--no-cv", action="store_true",
                    help="skip CV and fit exactly --max-trees trees")
-    p.add_argument("--min-leaf-total", type=int, default=5,
+    p.add_argument("--min-leaf-total", type=int, default=boost.BoostConfig.min_leaf_total,
                    help="minimum pooled observations per child")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=boost.BoostConfig.seed)
     p.add_argument("--out", required=True, help="output model JSON path")
 
     p = command("predict", "evaluate a fitted model")
@@ -90,19 +91,19 @@ def build_parser():
 
     p = command("bayes", "run the generalized-Bayesian sampler")
     _add_common_data_flags(p)
-    p.add_argument("--trees", type=int, default=200,
-                   help="ensemble size K (paper default: 200)")
-    p.add_argument("--lambda0", type=float, default=5.0,
-                   help="leaf prior precision per tree (paper default: 5)")
-    p.add_argument("--burnin", type=int, default=2000,
-                   help="burn-in sweeps (paper default: 2000)")
-    p.add_argument("--draws", type=int, default=1000,
-                   help="recorded sweeps (paper default: 1000)")
+    p.add_argument("--trees", type=int, default=gibbs.GibbsConfig.n_trees,
+                   help="ensemble size K, as in the paper")
+    p.add_argument("--lambda0", type=float, default=gibbs.GibbsConfig.lambda0,
+                   help="leaf prior precision per tree, as in the paper")
+    p.add_argument("--burnin", type=int, default=gibbs.GibbsConfig.burn_in,
+                   help="burn-in sweeps, as in the paper")
+    p.add_argument("--draws", type=int, default=gibbs.GibbsConfig.draws,
+                   help="recorded sweeps, as in the paper")
     p.add_argument("--eval-points", default=None,
                    help="CSV of evaluation points (default: the training points)")
-    p.add_argument("--quantiles", default="0.025,0.975",
+    p.add_argument("--quantiles", default=",".join(map(str, gibbs.QUANTILES)),
                    help="comma-separated posterior quantiles")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=gibbs.GibbsConfig.seed)
     p.add_argument("--trace", default=None, help="optional CSV of per-draw tau")
     p.add_argument("--out", required=True, help="output posterior summary CSV")
 
@@ -134,31 +135,22 @@ def build_parser():
                    help="replicates per cell (paper: 50)")
     p.add_argument("--seed", type=int, default=0)
     _add_boost_flags(p)
-    p.add_argument("--bayes-trees", type=int, default=200)
-    p.add_argument("--bayes-burnin", type=int, default=2000)
-    p.add_argument("--bayes-draws", type=int, default=1000)
+    p.add_argument("--bayes-trees", type=int, default=gibbs.GibbsConfig.n_trees)
+    p.add_argument("--bayes-burnin", type=int, default=gibbs.GibbsConfig.burn_in)
+    p.add_argument("--bayes-draws", type=int, default=gibbs.GibbsConfig.draws)
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap; falls back to BATTS_THREADS, then all cores")
     p.add_argument("--out", required=True, help="results CSV path")
 
     for p in commands.values():
-        p.add_argument("--config", help="JSON file of flag defaults; flags override")
+        p.add_argument("--config", nargs="?", const="",
+                       help="JSON file of flag defaults; flags override")
     return parser, commands
 
 
-def _apply_config_file(commands, argv):
-    """Make the keys of the --config JSON object the command's flag defaults,
-    so that flags on the command line override them."""
-    flags = [a for a in argv if a == "--config" or a.startswith("--config=")]
-    if not flags:
-        return
-    if argv[0] not in commands:
-        return  # argparse rejects --config before the command
-    if flags[0] == "--config":
-        at = argv.index("--config") + 1
-        path = argv[at] if at < len(argv) else ""
-    else:
-        path = flags[0].split("=", 1)[1]
+def _apply_config_file(command, name, path):
+    """Make the keys of the --config JSON object the defaults of the command
+    parser's flags, so that flags on the command line override them."""
     if not path:
         raise ValueError("--config needs a JSON file path")
     try:
@@ -170,12 +162,11 @@ def _apply_config_file(commands, argv):
         raise ValueError(f"config file {path}: not JSON ({e})") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    command = commands[argv[0]]
     known = {k: v for k, v in command.flags.items() if k not in ("help", "config")}
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in config file {path} "
-                         f"for '{argv[0]}'")
+                         f"for '{name}'")
     for key, value in cfg.items():
         want = _config_fault(*known[key], value)
         if want:
@@ -235,9 +226,17 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     _check_out_dirs(args, "out")
     model = boost.EnsembleModel.load(args.model)
-    pts = load_matrix(args.points)
+    pts = _load_points("--points", args.points, model.dim, "the model")
     save_matrix(args.out, boost.predict_log_ratio(model, pts).reshape(-1, 1))
     return 0
+
+
+def _load_points(flag, path, dim, owner) -> np.ndarray:
+    """The CSV matrix at path, refused unless it has dim columns."""
+    points = load_matrix(path)
+    if points.shape[1] != dim:
+        raise ValueError(f"{flag} {path} has {points.shape[1]} columns, but {owner} has {dim}")
+    return points
 
 
 def _parse_quantiles(text: str) -> list:
@@ -256,12 +255,13 @@ def _cmd_bayes(args) -> int:
     if args.draws < 1:
         raise ValueError("--draws must be >= 1")
     data = load_dataset(args.sample0, args.sample1)
+    eval_pts = (_load_points("--eval-points", args.eval_points, data.dim, "the data")
+                if args.eval_points else None)
     grid = build_cut_grid(data, args.cuts_per_dim)
     config = gibbs.GibbsConfig(
         n_trees=args.trees, lambda0=args.lambda0, burn_in=args.burnin,
         draws=args.draws, seed=args.seed,
     )
-    eval_pts = load_matrix(args.eval_points) if args.eval_points else None
     draws = gibbs.run_sampler(data, grid, config, eval_points=eval_pts)
     means, qs = gibbs.summarize(draws, quantiles)
     with open(args.out, "w") as fh:
@@ -297,21 +297,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _bench_job(job) -> dict:
-    (scenario_name, size_name, n0, n1, methods, seed,
-     boost_kw, bayes_kw) = job
+    scenario_name, size_name, n0, n1, methods, seed, boost_config, bayes_config = job
     scenario = simulate.make_scenario(scenario_name, seed=seed)
     data = simulate.generate(scenario, n0, n1, seed=seed)
-    grid = build_cut_grid(data, 31)
+    grid = build_cut_grid(data, CUTS_PER_DIM)
     truth = simulate.true_log_ratio(scenario, data.pooled())
     out = {}
     for method in methods:
         if method in ("fs", "gb"):
-            config = boost.BoostConfig(algorithm=method, seed=seed, **boost_kw)
+            config = replace(boost_config, algorithm=method, seed=seed)
             model = boost.fit(data, grid, config, select=True)
             est = boost.predict_log_ratio(model, data.pooled())
         else:
-            config = gibbs.GibbsConfig(seed=seed, **bayes_kw)
-            draws = gibbs.run_sampler(data, grid, config)
+            draws = gibbs.run_sampler(data, grid, replace(bayes_config, seed=seed))
             est, _ = gibbs.summarize(draws)
         out[method] = simulate.symmetrized_mse(truth, est, n0, n1)
     return out
@@ -331,19 +329,17 @@ def _env_threads() -> int:
     return threads
 
 
-def run_bench(scenarios, sizes, methods, replicates, seed,
-              boost_kw=None, bayes_kw=None, threads=None):
+def run_bench(scenarios, sizes, methods, replicates, seed, boost_config, bayes_config,
+              threads=None):
     """Returns rows of (scenario, size, method, mean_mse, se_mse, replicates,
-    seed); replicate r uses seed + r."""
-    boost_kw = boost_kw or {}
-    bayes_kw = bayes_kw or {}
+    seed); replicate r runs the configs with their seed set to seed + r."""
     cells = [(sc, sz) for sc in scenarios for sz in sizes]
     jobs = []
     for sc, sz in cells:
         n0, n1 = SIZES[sz]
         for r in range(replicates):
             jobs.append((sc, sz, n0, n1, tuple(methods), seed + r,
-                         boost_kw, bayes_kw))
+                         boost_config, bayes_config))
     if threads is None:
         threads = _env_threads()
     if threads > 1 and len(jobs) > 1:
@@ -383,16 +379,14 @@ def _cmd_bench(args) -> int:
         raise ValueError("--bayes-draws must be >= 1")
     if args.threads is not None and args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    boost_kw = dict(max_trees=args.max_trees, max_depth=args.depth,
-                    learning_rate=args.nu, cv_folds=args.cv_folds)
-    bayes_kw = dict(n_trees=args.bayes_trees, burn_in=args.bayes_burnin,
-                    draws=args.bayes_draws)
-    # checked before any job runs
-    boost.BoostConfig(seed=args.seed, **boost_kw)
-    if "bayes" in methods:
-        gibbs.GibbsConfig(seed=args.seed, **bayes_kw)
+    # built, and so checked, before any job runs
+    boost_config = boost.BoostConfig(max_trees=args.max_trees, max_depth=args.depth,
+                                     learning_rate=args.nu, cv_folds=args.cv_folds,
+                                     seed=args.seed)
+    bayes_config = None if "bayes" not in methods else gibbs.GibbsConfig(
+        n_trees=args.bayes_trees, burn_in=args.bayes_burnin, draws=args.bayes_draws, seed=args.seed)
     rows = run_bench(scenarios, sizes, methods, args.replicates, args.seed,
-                     boost_kw, bayes_kw, threads=args.threads)
+                     boost_config, bayes_config, threads=args.threads)
     rep_seeds = ",".join(str(args.seed + r) for r in range(args.replicates))
     with open(args.out, "w") as fh:
         fh.write(f"# base_seed={args.seed}\n")
@@ -425,8 +419,10 @@ def dispatch(argv) -> int:
         return 2
     parser, commands = build_parser()
     try:
-        _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            _apply_config_file(commands[args.command], args.command, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     except (OSError, ValueError) as e:  # an unusable --config file

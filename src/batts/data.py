@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CUTS_PER_DIM = 31  # the paper's cut count per dimension
+
 
 class DataError(ValueError):
     """Raised when input data violates the two-sample contract."""
@@ -206,7 +208,7 @@ def _check_nonconstant(data: TwoSampleDataset) -> None:
         raise DataError(f"constant column {flat[0]}: zero range over the pooled sample")
 
 
-def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = 31) -> CutGrid:
+def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = CUTS_PER_DIM) -> CutGrid:
     """Equally spaced interior thresholds over the pooled per-dimension range."""
     if not isinstance(count_per_dim, numbers.Integral) or isinstance(count_per_dim, bool):
         raise DataError("count_per_dim must be an integer")

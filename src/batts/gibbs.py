@@ -19,16 +19,16 @@ GROW, PRUNE, CHANGE = 0, 1, 2
 # each move is proposed w.p. 1/3: the cdf that Generator.choice(3) searches
 # for p = (1/3, 1/3, 1/3)
 _MOVE_CDF = (1.0 / 3.0, 2.0 / 3.0, 1.0)
+# BART's tree prior (Chipman, George & McCulloch 2010) and tau ~ Gamma(1, 1)
+TREE_PRIOR = TreePrior(0.95, 2.0)
+TAU_SHAPE, TAU_RATE = 1.0, 1.0
+QUANTILES = (0.025, 0.975)  # summarize's default posterior band
 
 
 @dataclass
 class GibbsConfig:
     n_trees: int = 200
     lambda0: float = 5.0
-    a_T: float = 0.95
-    b_T: float = 2.0
-    a0_tau: float = 1.0
-    b0_tau: float = 1.0
     burn_in: int = 2000
     draws: int = 1000
     seed: int = 0
@@ -40,24 +40,18 @@ class GibbsConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.n_trees < 2 or self.n_trees % 2 != 0:
             raise ValueError("n_trees must be even (prior alternation needs pairs)")
-        # the chained comparisons are false for NaN
-        if not 0 < self.lambda0 < math.inf:
+        # a bool would pass as 1.0; the chained comparisons are false for NaN
+        if isinstance(self.lambda0, (bool, np.bool_)) or not 0 < self.lambda0 < math.inf:
             raise ValueError("lambda0 must be positive and finite")
-        if not (0 < self.a0_tau < math.inf and 0 < self.b0_tau < math.inf):
-            raise ValueError("a0_tau and b0_tau must be positive and finite")
         if self.burn_in < 0 or self.draws < 0:
             raise ValueError("burn_in and draws must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.tree_prior()  # TreePrior validates a_T and b_T
 
     @property
     def leaf_precision(self) -> float:
         # Prior precision scales with the ensemble size.
         return self.lambda0 * self.n_trees
-
-    def tree_prior(self) -> TreePrior:
-        return TreePrior(self.a_T, self.b_T)
 
 
 def _posterior_params(s0: float, s1: float, tau: float, zeta: float, lam: float,
@@ -424,11 +418,11 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
     counts0 = np.bincount(inverse[:n0], minlength=C).astype(np.float64)
     counts1 = np.bincount(inverse[n0:n], minlength=C).astype(np.float64)
     ctx = MoveContext(cell_bins, grid.cuts, counts0, counts1, data.zeta,
-                      config.leaf_precision, config.tree_prior())
+                      config.leaf_precision, TREE_PRIOR)
     trees = [SamplerTree(n_cells, even=(k % 2 == 1)) for k in range(config.n_trees)]
     logw = np.zeros(n_cells)
     train_logw = logw[:C]
-    tau = 0.0 if prior_only else config.a0_tau / config.b0_tau
+    tau = 0.0 if prior_only else TAU_SHAPE / TAU_RATE
     total = config.burn_in + config.draws
     # the draws are kept per distinct cell of the evaluation points
     used = np.zeros(n_cells, dtype=bool)
@@ -455,7 +449,7 @@ def run_sampler(data: TwoSampleDataset, grid: CutGrid, config: GibbsConfig,
         attempts[sweep] = tried
         accepts[sweep] = taken
         if not prior_only:
-            tau = update_tau(train_logw, train_logw, config.a0_tau, config.b0_tau, rng,
+            tau = update_tau(train_logw, train_logw, TAU_SHAPE, TAU_RATE, rng,
                              counts0, counts1)
         if (sweep + 1) % 100 == 0:
             _verify_state(trees, X, logw, inverse)
@@ -487,7 +481,7 @@ def check_quantiles(quantiles) -> np.ndarray:
     return q
 
 
-def summarize(draws: PosteriorDraws, quantiles=(0.025, 0.975)):
+def summarize(draws: PosteriorDraws, quantiles=QUANTILES):
     """Per-point posterior mean and linear-interpolation quantiles of log r.
 
     Returns (means, quantile matrix of shape n_points x len(quantiles)).

@@ -90,6 +90,12 @@ def optimal_leaf_value(p_mass, q_mass):
     return 0.5 * (np.log(p_mass) - np.log(q_mass))
 
 
+def optimal_leaf_loss(p_mass, q_mass):
+    """The minimum over beta of p_mass*e^{-beta} + q_mass*e^{beta}, attained
+    at optimal_leaf_value: 2*sqrt(p_mass*q_mass)."""
+    return 2.0 * np.sqrt(p_mass * q_mass)
+
+
 def rebalance(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):
     """The shift log_c of every log-weight that equalizes the two terms of
     l_n, and the loss after the shift, 2*sqrt(mean(w^{-1}) * mean(w)).
@@ -99,5 +105,5 @@ def rebalance(logw0: np.ndarray, logw1: np.ndarray, counts0=None, counts1=None):
     """
     e0 = _row_mean(np.exp(-logw0), counts0)
     e1 = _row_mean(np.exp(logw1), counts1)
-    return 0.5 * (np.log(e0) - np.log(e1)), 2.0 * np.sqrt(e0 * e1)
+    return 0.5 * (np.log(e0) - np.log(e1)), optimal_leaf_loss(e0, e1)
 

@@ -1,5 +1,7 @@
 """End-to-end CLI checks driven through dispatch()."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -243,7 +245,8 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_bench_job", fake_job)
         rows = run_bench(["GlobalShift2D", "LocalShift2D"], ["balanced"],
-                         ["fs", "gb"], replicates=3, seed=0, threads=1)
+                         ["fs", "gb"], replicates=3, seed=0, boost_config=boost.BoostConfig(),
+                         bayes_config=None, threads=1)
         assert len(rows) == 4
         assert all(r[3] == 1.0 and r[4] == 0.0 for r in rows)
 
@@ -251,7 +254,8 @@ class TestBench:
         """The bench job's posterior mean comes from summarize, per cell; its
         MSE is bit-equal to that of the mean of the draws x rows matrix."""
         bayes_kw = dict(n_trees=10, burn_in=20, draws=15)
-        job = ("GlobalShift2D", "balanced", 120, 100, ["bayes"], 4, {}, bayes_kw)
+        job = ("GlobalShift2D", "balanced", 120, 100, ["bayes"], 4, boost.BoostConfig(),
+               gibbs.GibbsConfig(**bayes_kw))
         got = cli._bench_job(job)["bayes"]
         scenario = simulate.make_scenario("GlobalShift2D", seed=4)
         data = simulate.generate(scenario, 120, 100, seed=4)
@@ -374,7 +378,8 @@ class TestBench:
     def test_batts_threads_sets_the_worker_cap(self, monkeypatch):
         monkeypatch.setattr(cli, "_bench_job", lambda job: {m: 1.0 for m in job[4]})
         monkeypatch.setenv("BATTS_THREADS", "1")
-        rows = run_bench(["GlobalShift2D"], ["balanced"], ["fs"], replicates=2, seed=0)
+        rows = run_bench(["GlobalShift2D"], ["balanced"], ["fs"], replicates=2, seed=0,
+                         boost_config=boost.BoostConfig(), bayes_config=None)
         assert len(rows) == 1
 
 
@@ -671,6 +676,40 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err == "error: --config needs a JSON file path\n"
 
+    @staticmethod
+    def _fit_config(tmp_path, monkeypatch, *argv):
+        """The BoostConfig that batts fit builds from argv; the fit is not run."""
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        seen = []
+
+        def record(data, grid, config, select):
+            seen.append(config)
+            raise RuntimeError("stop before fitting")
+
+        monkeypatch.setattr(cli.boost, "fit", record)
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1), *argv,
+                         "--out", str(tmp_path / "m.json")]) == 1
+        return seen[0]
+
+    def test_abbreviated_config_flag_applies_the_file(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_trees": 3, "no_cv": true}')
+        assert self._fit_config(tmp_path, monkeypatch, "--conf", str(cfg)).max_trees == 3
+        cfg.write_text('{"max_trees": 3, "nuu": 1}')
+        capsys.readouterr()
+        assert dispatch(["fit", "--sample0", "s0.csv", "--sample1", "s1.csv",
+                         "--conf", str(cfg), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key 'nuu' in config file {cfg} for 'fit'\n")
+
+    def test_last_config_flag_wins(self, tmp_path, monkeypatch):
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        first.write_text('{"max_trees": 3}')
+        last.write_text('{"max_trees": 4}')
+        config = self._fit_config(tmp_path, monkeypatch, "--config", str(first),
+                                  f"--config={last}")
+        assert config.max_trees == 4
+
     @pytest.mark.parametrize("command, cfg, want", [
         ("fit", '{"no_cv": "false"}', "'no_cv' must be true or false, got \"false\""),
         ("fit", '{"no_cv": 0}', "'no_cv' must be true or false, got 0"),
@@ -720,9 +759,9 @@ class TestConfigAndErrors:
         type."""
         seen = {}
 
-        def record(scenarios, sizes, methods, replicates, seed, boost_kw, bayes_kw,
+        def record(scenarios, sizes, methods, replicates, seed, boost_config, bayes_config,
                    threads=None):
-            seen.update(scenarios=scenarios, boost_kw=boost_kw)
+            seen.update(scenarios=scenarios, boost_config=boost_config)
             return [("GlobalShift2D", "balanced", "fs", 0.0, 0.0, 1, 0)]
 
         monkeypatch.setattr(cli, "run_bench", record)
@@ -732,8 +771,8 @@ class TestConfigAndErrors:
         assert dispatch(["bench", "--methods", "fs", "--config", str(path),
                          "--out", str(tmp_path / "b.csv")]) == 0
         assert seen["scenarios"] == ["LocalShift2D", "GlobalShift2D"]
-        assert seen["boost_kw"]["max_trees"] == 7
-        assert seen["boost_kw"]["learning_rate"] == 0.05
+        assert seen["boost_config"].max_trees == 7
+        assert seen["boost_config"].learning_rate == 0.05
 
     @pytest.mark.parametrize("flags, want", [
         ([], ["LocalShift2D"]),
@@ -805,3 +844,93 @@ class TestConfigAndErrors:
     def test_no_command_prints_help(self, capsys):
         assert dispatch([]) == 0
         assert "usage: batts" in capsys.readouterr().out
+
+
+class TestPointWidth:
+    """Points of another width than the model's or the samples' are refused
+    with the file, its width and the expected one, before any routing or
+    sampling."""
+
+    @staticmethod
+    def _never(what):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{what} was entered")
+        return never
+
+    def test_predict_points(self, tmp_path, capsys, monkeypatch):
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1),
+                         "--max-trees", "2", "--no-cv", "--out", str(model)]) == 0
+        monkeypatch.setattr(boost, "predict_log_ratio", self._never("predict_log_ratio"))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0,0.0\n")
+        out = tmp_path / "est.csv"
+        capsys.readouterr()
+        assert dispatch(["predict", "--model", str(model), "--points", str(pts),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --points {pts} has 3 columns, but the model has 2\n")
+        assert not out.exists()
+
+    def test_bayes_eval_points(self, tmp_path, capsys, monkeypatch):
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        monkeypatch.setattr(gibbs, "run_sampler", self._never("run_sampler"))
+        monkeypatch.setattr(cli, "build_cut_grid", self._never("build_cut_grid"))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0\n1.0\n")
+        out = tmp_path / "post.csv"
+        assert dispatch(["bayes", "--sample0", str(s0), "--sample1", str(s1),
+                         "--eval-points", str(pts), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --eval-points {pts} has 1 columns, but the data has 2\n")
+        assert not out.exists()
+
+
+class TestOneSource:
+    """Each setting reaches the code one way: a command passes every field of
+    its config by name, and its flag defaults are the config's own."""
+
+    def test_fit_and_bayes_configs(self, tmp_path, monkeypatch):
+        s0, s1, _ = _simulate(tmp_path, n0=60, n1=60)
+        passed, built = {}, []
+
+        def recorder(real):
+            class Recorder(real):
+                def __init__(self, **kwargs):
+                    passed[real] = set(kwargs)
+                    super().__init__(**kwargs)
+            return Recorder
+
+        def stop(data, grid, config, **kwargs):
+            built.append(config)
+            raise RuntimeError("stop before the run")
+
+        reals = (boost.BoostConfig, gibbs.GibbsConfig)
+        for real, (owner, run) in zip(reals, ((boost, "fit"), (gibbs, "run_sampler"))):
+            monkeypatch.setattr(owner, real.__name__, recorder(real))
+            monkeypatch.setattr(owner, run, stop)
+        for command in ("fit", "bayes"):
+            assert dispatch([command, "--sample0", str(s0), "--sample1", str(s1),
+                             "--out", str(tmp_path / "out")]) == 1
+        assert len(built) == 2
+        for real, config in zip(reals, built):
+            assert passed[real] == {f.name for f in dataclasses.fields(real)}
+            assert dataclasses.asdict(config) == dataclasses.asdict(real())
+
+    def test_bench_configs(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: (
+            seen.append(args) or [("GlobalShift2D", "balanced", "fs", 0.0, 0.0, 1, 0)]))
+        assert dispatch(["bench", "--out", str(tmp_path / "b.csv")]) == 0
+        boost_config, bayes_config = seen[0][5:7]
+        assert boost_config == boost.BoostConfig()
+        assert bayes_config == gibbs.GibbsConfig()
+
+    def test_cut_count_and_quantiles(self):
+        _, commands = cli.build_parser()
+        cuts = inspect.signature(build_cut_grid).parameters["count_per_dim"].default
+        for command in ("fit", "bayes"):
+            assert commands[command].get_default("cuts_per_dim") == cuts
+        quantiles = inspect.signature(gibbs.summarize).parameters["quantiles"].default
+        assert cli._parse_quantiles(commands["bayes"].get_default("quantiles")) == list(quantiles)

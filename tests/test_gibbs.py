@@ -351,22 +351,17 @@ class TestGibbsConfig:
         {"n_trees": 0},
         {"lambda0": 0.0},
         {"burn_in": -1},
-        {"a0_tau": -1.0},
-        {"b0_tau": 0.0},
-        {"a_T": 1.5},
-        {"a_T": 0.0},
-        {"b_T": -1.0},
         {"lambda0": float("nan")},
         {"lambda0": float("inf")},
-        {"a0_tau": float("nan")},
-        {"b0_tau": float("inf")},
-        {"b_T": float("nan")},
-        {"b_T": float("inf")},
         {"burn_in": 2.5},
         {"draws": 1.5},
         {"n_trees": 4.0},
         {"seed": 2.5},
         {"seed": -3},
+        {"lambda0": True},
+        {"lambda0": np.True_},
+        {"lambda0": -1.0},
+        {"draws": -1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

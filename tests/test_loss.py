@@ -11,6 +11,7 @@ from batts import (
     DivergedModelError,
     TwoSampleDataset,
     finite_sample_loss,
+    optimal_leaf_loss,
     optimal_leaf_value,
     rebalance,
     row_masses,
@@ -71,6 +72,7 @@ class TestOptimalLeafValue:
                 else:
                     lo = m1
             assert optimal_leaf_value(p, q) == pytest.approx((lo + hi) / 2, abs=1e-7)
+            assert optimal_leaf_loss(p, q) == pytest.approx(f((lo + hi) / 2), rel=1e-12)
 
     def test_degenerate_masses(self):
         with pytest.raises(DegenerateLeafError, match="degenerate leaf"):

@@ -120,6 +120,9 @@ class TestPrior:
             TreePrior(a_T=1.5)
         with pytest.raises(ValueError):
             TreePrior(b_T=-1.0)
+        for kwargs in ({"a_T": 0.0}, {"b_T": float("nan")}, {"b_T": float("inf")}):
+            with pytest.raises(ValueError):
+                TreePrior(**kwargs)
         with pytest.raises(ValueError):
             split_probability(TreePrior(), -1)
 

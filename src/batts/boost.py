@@ -4,7 +4,6 @@ with shrinkage, one-group pruning, and cross-validated tree-count selection."""
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from .data import CutGrid, TwoSampleDataset, utf8_fault
 from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_loss,
                    optimal_leaf_value, rebalance, row_masses)
-from .tree import DecisionTree, json_float, json_int, node_hook
+from .tree import DecisionTree, json_float, json_int, node_hook, setting_int, setting_number
 
 _LOSS_SLACK = 1e-12
 
@@ -40,16 +39,11 @@ class BoostConfig:
     def __post_init__(self):
         lows = {"max_trees": 1, "max_depth": 1, "cv_folds": 2, "min_leaf_total": 1, "seed": 0}
         for name, low in lows.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            setattr(self, name, setting_int(name, getattr(self, name), low))
         if self.algorithm not in ("fs", "gb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected 'fs' or 'gb'")
-        # a bool would be saved as "nu": true, which load refuses
-        if isinstance(self.learning_rate, bool) or not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must lie in (0, 1]")
+        self.learning_rate = setting_number("learning_rate", self.learning_rate,
+                                            lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 
 
 class EnsembleModel:
@@ -66,11 +60,12 @@ class EnsembleModel:
         self.feature = np.concatenate([t.feature for t in trees] or [np.empty(0, np.int32)])
         self.right = np.concatenate([t.right for t in trees] or [np.empty(0, np.int32)])
         self.value = np.concatenate([t.value for t in trees] or [np.empty(0)])
-        self.learning_rate = learning_rate
-        self.offset = offset
+        # Python numbers, which save writes as JSON numbers
+        self.learning_rate = float(learning_rate)
+        self.offset = float(offset)
         self.algorithm = algorithm
-        self.dim = dim
-        self.seed = seed
+        self.dim = int(dim)
+        self.seed = int(seed)
         self.train_loss_path = train_loss_path
 
     @property
@@ -470,6 +465,12 @@ def _boost(members, cuts, config: BoostConfig, n_trees: int):
     """
     grower = _Grower(members, cuts, config.max_depth, config.min_leaf_total,
                      config.algorithm)
+    # a split's validity reads row counts alone, so a root without a valid
+    # split stays a leaf in every tree of the run
+    if not grower.root_counts[1][1].any():
+        raise ValueError("no cut leaves rows of both groups and min_leaf_total "
+                         f"({config.min_leaf_total}) rows on each side: the samples "
+                         "overlap too little to split")
     runs = []
     for _, k0, _, k1 in members:
         n0, n1 = np.count_nonzero(k0), np.count_nonzero(k1)

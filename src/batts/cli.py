@@ -81,7 +81,7 @@ def build_parser():
                    help="skip CV and fit exactly --max-trees trees")
     p.add_argument("--min-leaf-total", type=int, default=boost.BoostConfig.min_leaf_total,
                    help="minimum pooled observations per child")
-    p.add_argument("--seed", type=int, default=boost.BoostConfig.seed)
+    p.add_argument("--seed", type=int, default=boost.BoostConfig.seed, help="seed of the CV folds")
     p.add_argument("--out", required=True, help="output model JSON path")
 
     p = command("predict", "evaluate a fitted model")
@@ -103,7 +103,7 @@ def build_parser():
                    help="CSV of evaluation points (default: the training points)")
     p.add_argument("--quantiles", default=",".join(map(str, gibbs.QUANTILES)),
                    help="comma-separated posterior quantiles")
-    p.add_argument("--seed", type=int, default=gibbs.GibbsConfig.seed)
+    p.add_argument("--seed", type=int, default=gibbs.GibbsConfig.seed, help="seed of the sampler")
     p.add_argument("--trace", default=None, help="optional CSV of per-draw tau")
     p.add_argument("--out", required=True, help="output posterior summary CSV")
 
@@ -111,7 +111,7 @@ def build_parser():
     p.add_argument("--scenario", required=True, choices=simulate.SCENARIO_NAMES)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the scenario and the draws")
     p.add_argument("--out0", required=True, help="output CSV for group 0")
     p.add_argument("--out1", required=True, help="output CSV for group 1")
     p.add_argument("--truth", default=None,
@@ -133,7 +133,7 @@ def build_parser():
                    help="comma-separated subset of fs, gb, bayes")
     p.add_argument("--replicates", type=int, default=5,
                    help="replicates per cell (paper: 50)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="replicate r uses seed + r")
     _add_boost_flags(p)
     p.add_argument("--bayes-trees", type=int, default=gibbs.GibbsConfig.n_trees)
     p.add_argument("--bayes-burnin", type=int, default=gibbs.GibbsConfig.burn_in)
@@ -252,16 +252,14 @@ def _cmd_bayes(args) -> int:
     # checked before sampling, which takes minutes at the paper defaults
     _check_out_dirs(args, "out", "trace")
     quantiles = _parse_quantiles(args.quantiles)
-    if args.draws < 1:
-        raise ValueError("--draws must be >= 1")
-    data = load_dataset(args.sample0, args.sample1)
-    eval_pts = (_load_points("--eval-points", args.eval_points, data.dim, "the data")
-                if args.eval_points else None)
-    grid = build_cut_grid(data, args.cuts_per_dim)
     config = gibbs.GibbsConfig(
         n_trees=args.trees, lambda0=args.lambda0, burn_in=args.burnin,
         draws=args.draws, seed=args.seed,
     )
+    data = load_dataset(args.sample0, args.sample1)
+    eval_pts = (_load_points("--eval-points", args.eval_points, data.dim, "the data")
+                if args.eval_points else None)
+    grid = build_cut_grid(data, args.cuts_per_dim)
     draws = gibbs.run_sampler(data, grid, config, eval_points=eval_pts)
     means, qs = gibbs.summarize(draws, quantiles)
     with open(args.out, "w") as fh:
@@ -375,8 +373,6 @@ def _cmd_bench(args) -> int:
         raise ValueError("--sizes and --methods must each name at least one entry")
     if args.replicates < 1:
         raise ValueError("--replicates must be >= 1")
-    if "bayes" in methods and args.bayes_draws < 1:
-        raise ValueError("--bayes-draws must be >= 1")
     if args.threads is not None and args.threads < 1:
         raise ValueError("--threads must be >= 1")
     # built, and so checked, before any job runs

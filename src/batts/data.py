@@ -16,7 +16,8 @@ class DataError(ValueError):
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only float64 copy of a: the caller's array stays writable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 
@@ -26,8 +27,8 @@ class TwoSampleDataset:
     """Two i.i.d. samples from the distributions being compared.
 
     ``sample0`` holds the numerator-group draws (n0 x d), ``sample1`` the
-    denominator-group draws (n1 x d). Arrays are made read-only so the
-    dataset can be shared freely across workers.
+    denominator-group draws (n1 x d). The dataset keeps read-only copies, so
+    it can be shared freely across workers.
     """
 
     sample0: np.ndarray
@@ -159,7 +160,9 @@ def load_matrix(path) -> np.ndarray:
     a = np.asarray(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
-        r, c = bad[0]
+        row, c = bad[0]
+        with open(path, encoding="utf-8") as fh:  # row skips blank lines; r does not
+            r = [r for r, line in enumerate(fh) if line.strip()][row]
         raise DataError(f"non-finite value at row {r}, col {c} in {path}")
     return a
 
@@ -195,17 +198,7 @@ def load_dataset(path0, path1) -> TwoSampleDataset:
             f"dimension mismatch: {path0} has {s0.shape[1]} columns, "
             f"{path1} has {s1.shape[1]}"
         )
-    data = TwoSampleDataset(s0, s1)
-    _check_nonconstant(data)
-    return data
-
-
-def _check_nonconstant(data: TwoSampleDataset) -> None:
-    pooled = data.pooled()
-    rng = pooled.max(axis=0) - pooled.min(axis=0)
-    flat = np.nonzero(rng <= 0)[0]
-    if flat.size:
-        raise DataError(f"constant column {flat[0]}: zero range over the pooled sample")
+    return TwoSampleDataset(s0, s1)
 
 
 def build_cut_grid(data: TwoSampleDataset, count_per_dim: int = CUTS_PER_DIM) -> CutGrid:

@@ -5,7 +5,6 @@ the temperature, and posterior summarization."""
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .data import CutGrid, TwoSampleDataset
 from .loss import check_log_weights, finite_sample_loss
-from .tree import DecisionTree, TreePrior
+from .tree import DecisionTree, TreePrior, setting_int, setting_number
 
 GROW, PRUNE, CHANGE = 0, 1, 2
 # each move is proposed w.p. 1/3: the cdf that Generator.choice(3) searches
@@ -30,23 +29,16 @@ class GibbsConfig:
     n_trees: int = 200
     lambda0: float = 5.0
     burn_in: int = 2000
-    draws: int = 1000
+    draws: int = 1000  # at least 1: every caller summarizes the draws
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "burn_in", "draws", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        if self.n_trees < 2 or self.n_trees % 2 != 0:
+        for name, low in {"n_trees": 2, "burn_in": 0, "draws": 1, "seed": 0}.items():
+            setattr(self, name, setting_int(name, getattr(self, name), low))
+        if self.n_trees % 2 != 0:
             raise ValueError("n_trees must be even (prior alternation needs pairs)")
-        # a bool would pass as 1.0; the chained comparisons are false for NaN
-        if isinstance(self.lambda0, (bool, np.bool_)) or not 0 < self.lambda0 < math.inf:
-            raise ValueError("lambda0 must be positive and finite")
-        if self.burn_in < 0 or self.draws < 0:
-            raise ValueError("burn_in and draws must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        self.lambda0 = setting_number("lambda0", self.lambda0, lambda v: 0 < v < math.inf,
+                                      "be positive and finite")
 
     @property
     def leaf_precision(self) -> float:

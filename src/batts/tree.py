@@ -4,6 +4,7 @@ parameters."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,24 @@ def json_float(value, name: str) -> float:
         raise ValueError(f"{name} is an integer too large for a float") from None
 
 
+def setting_int(name: str, value, low: int) -> int:
+    """A numeric setting as an int: an integer, numpy's too, of at least low.
+    A bool, a numpy bool (not an Integral), a float or a string is refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def setting_number(name: str, value, inside, bounds: str) -> float:
+    """A numeric setting as a float: a real number, not a bool, for which
+    inside is true (and false for NaN); else ValueError "{name} must {bounds}"."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not inside(value):
+        raise ValueError(f"{name} must {bounds}")
+    return float(value)
+
+
 def _to_dict(feature, right, value, i) -> dict:
     if feature[i] < 0:
         return {"beta": value[i]}
@@ -180,8 +199,6 @@ class TreePrior:
     b_T: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.a_T < 1.0:
-            raise ValueError("a_T must lie in (0, 1)")
-        if not 0.0 <= self.b_T < math.inf:  # false for NaN
-            raise ValueError("b_T must be >= 0 and finite")
+        setting_number("a_T", self.a_T, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        setting_number("b_T", self.b_T, lambda v: 0.0 <= v < math.inf, "be >= 0 and finite")
 

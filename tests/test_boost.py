@@ -32,6 +32,9 @@ from oracles import (hellinger_split_score, leaf_memberships, log_weight_by_rows
                      node_depths, sample_tree_from_prior, tree_from_dict)
 
 
+_INT_FIELDS = ("max_trees", "max_depth", "cv_folds", "min_leaf_total", "seed")
+
+
 class TestConfig:
     def test_defaults(self):
         c = BoostConfig()
@@ -70,24 +73,61 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             BoostConfig(**{name: True})
 
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None],
+                             ids=["bool", "numpy-bool", "string", "None"])
+    @pytest.mark.parametrize("name, message", [
+        *[(name, f"{name} must be an integer") for name in _INT_FIELDS],
+        ("learning_rate", "learning_rate must lie in (0, 1]"),
+    ])
+    def test_non_number_is_a_one_line_error(self, name, message, value):
+        with pytest.raises(ValueError) as e:
+            BoostConfig(**{name: value})
+        assert str(e.value) == message
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        c = BoostConfig(max_trees=np.int64(7), max_depth=np.int32(3), cv_folds=np.uint8(3),
+                        min_leaf_total=np.int16(2), seed=np.int64(3),
+                        learning_rate=np.float32(0.25))
+        assert [type(getattr(c, name)) for name in _INT_FIELDS] == [int] * len(_INT_FIELDS)
+        assert (c.max_trees, c.max_depth, c.cv_folds, c.min_leaf_total, c.seed) == (7, 3, 3, 2, 3)
+        assert type(c.learning_rate) is float and c.learning_rate == 0.25
+
+    @pytest.mark.parametrize("kwargs", [{"seed": np.int64(3)}, {"learning_rate": np.float32(0.1)}],
+                             ids=["numpy-seed", "float32-nu"])
+    def test_fit_with_numpy_settings_saves_and_reloads(self, tmp_path, shifted_2d, kwargs):
+        data, grid = shifted_2d
+        model = fit(data, grid, BoostConfig(max_trees=5, **kwargs), select=False)
+        path = tmp_path / "model.json"
+        model.save(path)
+        clone = EnsembleModel.load(path)
+        assert (clone.seed, clone.learning_rate) == (model.seed, model.learning_rate)
+        np.testing.assert_array_equal(predict_log_ratio(clone, data.pooled()),
+                                      predict_log_ratio(model, data.pooled()))
+
+    def test_model_built_from_numpy_scalars_saves(self, tmp_path):
+        model = EnsembleModel([], np.float32(0.5), np.float64(0.25), "gb", np.int64(2),
+                              seed=np.int32(3))
+        path = tmp_path / "model.json"
+        model.save(path)
+        clone = EnsembleModel.load(path)
+        assert (clone.learning_rate, clone.offset, clone.dim, clone.seed) == (0.5, 0.25, 2, 3)
+
 
 class TestSingleStepOracle:
     def test_four_point_hand_trace(self):
-        """One boosting step on 2 points per group separable by one cut:
-        the fitted leaf contributions equal nu * optimal leaf values."""
+        """2 points per group separable by one cut: the single interior cut
+        at x0 = 2 separates the groups, but a one-group child is refused, so
+        no tree could split, and the fit says so instead of returning log r
+        = 0 from single leaves."""
         data = TwoSampleDataset(
             np.array([[0.0], [1.0]]),
             np.array([[3.0], [4.0]]),
         )
-        # A single interior cut at x0 = 2 separates the groups, but a
-        # one-group child is refused, so the root stays a leaf with beta 0
-        # and only the rebalance offset remains (which is 0 by symmetry).
         grid = build_cut_grid(data, 1)
         config = BoostConfig(algorithm="fs", max_trees=1, min_leaf_total=1,
                              learning_rate=0.1)
-        model = _fit_boost(data, grid, config, 1)
-        assert model.trees[0].n_leaves() == 1
-        assert model.offset == pytest.approx(0.0)
+        with pytest.raises(ValueError, match="^no cut leaves rows of both groups"):
+            _fit_boost(data, grid, config, 1)
 
     def test_mixed_leaves_get_nu_scaled_optimum(self):
         data = TwoSampleDataset(
@@ -1032,6 +1072,59 @@ grid = build_cut_grid(data, 31)
 fit(data, grid, BoostConfig(max_trees=5), select=False).save(sys.argv[1])
 print(_cells(grid, data.sample0)[2].size, _cells(grid, data.sample1)[2].size)
 """
+
+
+def _shifted(s, dim, n=2000, seed=0):
+    """Group 0 from N(0, I), group 1 from N(s * 1, I)."""
+    gen = np.random.default_rng(seed)
+    return TwoSampleDataset(gen.standard_normal((n, dim)), gen.standard_normal((n, dim)) + s)
+
+
+class TestSeparableSamples:
+    """When no cut leaves rows of both groups on each side of the root, no
+    tree of the run can split, since validity reads row counts alone: the
+    fit refuses with one line instead of returning log r = 0."""
+
+    MESSAGE = ("^no cut leaves rows of both groups and min_leaf_total \\(5\\) rows on each "
+               "side: the samples overlap too little to split$")
+
+    @pytest.mark.parametrize("select", [False, True])
+    @pytest.mark.parametrize("algo", ["fs", "gb"])
+    @pytest.mark.parametrize("dim, s", [(1, 7), (2, 7), (2, 8), (2, 20)])
+    def test_fit_refuses(self, dim, s, algo, select):
+        data = _shifted(s, dim)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            fit(data, build_cut_grid(data), BoostConfig(algorithm=algo, max_trees=20), select)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cv_curve_refuses(self, dim):
+        data = _shifted(8, dim)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            cv_loss_curve(data, build_cut_grid(data), BoostConfig(max_trees=20))
+
+    @pytest.mark.parametrize("select", [False, True])
+    def test_partial_overlap_still_fits(self, select):
+        data = _shifted(6, 2)
+        model = fit(data, build_cut_grid(data), BoostConfig(max_trees=20), select)
+        assert len(model.trees) > 0
+        assert all(tree.n_leaves() > 1 for tree in model.trees)
+
+    def test_one_member_without_a_root_split_keeps_growing_leaves(self):
+        """A run refuses only when no member's root can split: a CV fold
+        without a valid root split beside one with a split keeps single
+        leaves, as a lone run of it would."""
+        apart, overlap = _shifted(20, 2, n=200), _shifted(0.5, 2, n=200)
+        grid = build_cut_grid(TwoSampleDataset(np.vstack([apart.sample0, overlap.sample0]),
+                                               np.vstack([apart.sample1, overlap.sample1])))
+        members = []
+        for d in (apart, overlap):
+            (bins0, _, counts0), (bins1, _, counts1) = _cells(grid, d.sample0), _cells(grid, d.sample1)
+            members.append((bins0, counts0, bins1, counts1))
+        levels, _ = next(_boost(members, grid.cuts, BoostConfig(), 1))
+        assert _tree(levels, 0, 2).n_leaves() == 1
+        assert _tree(levels, 1, 2).n_leaves() > 1
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            next(_boost(members[:1], grid.cuts, BoostConfig(), 1))
 
 
 class TestPersistence:

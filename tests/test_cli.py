@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from batts import boost, build_cut_grid, cli, gibbs, simulate
+from batts import TwoSampleDataset, boost, build_cut_grid, cli, gibbs, simulate
 from batts.cli import dispatch, run_bench
-from batts.data import load_matrix
+from batts.data import load_matrix, save_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -130,18 +130,21 @@ class TestBayesCommand:
         (["--quantiles", "0.1,nan"], "error: quantiles must lie strictly inside (0, 1)\n"),
         (["--quantiles", "abc"],
          "error: --quantiles must be comma-separated numbers, got 'abc'\n"),
-        (["--draws", "0"], "error: --draws must be >= 1\n"),
+        (["--draws", "0"], "error: draws must be >= 1\n"),
         (["--lambda0", "nan"], "error: lambda0 must be positive and finite\n"),
         (["--lambda0", "inf"], "error: lambda0 must be positive and finite\n"),
+        (["--trees", "3"], "error: n_trees must be even (prior alternation needs pairs)\n"),
+        (["--burnin", "-1"], "error: burn_in must be >= 0\n"),
     ])
     def test_bad_request_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   extra, message):
+        """Refused before the samples load, so before any sampling."""
         s0, s1, _ = _simulate(tmp_path, n0=80, n1=80)
 
         def never(*args, **kwargs):
-            raise AssertionError("run_sampler was entered")
+            raise AssertionError("the samples were loaded")
 
-        monkeypatch.setattr(gibbs, "run_sampler", never)
+        monkeypatch.setattr(cli, "load_dataset", never)
         out = tmp_path / "post.csv"
         code = dispatch(["bayes", "--sample0", str(s0), "--sample1", str(s1),
                          *extra, "--out", str(out)])
@@ -326,12 +329,12 @@ class TestBench:
                          "--methods", "bayes", "--bayes-draws", "0",
                          "--threads", "1", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: --bayes-draws must be >= 1\n"
+        assert capsys.readouterr().err == "error: draws must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--bayes-trees", "3", "n_trees must be even"),
-        ("--bayes-burnin", "-1", "burn_in and draws must be >= 0"),
+        ("--bayes-burnin", "-1", "burn_in must be >= 0"),
     ])
     def test_bad_sampler_settings_rejected_before_jobs(self, tmp_path, capsys, monkeypatch,
                                                        flag, value, message):
@@ -808,6 +811,17 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"error: config file {path}: {want}\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
+    def test_config_that_is_not_an_object_names_it(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        model = tmp_path / "model.json"
+        code = dispatch(["fit", "--sample0", "s0.csv", "--sample1", "s1.csv",
+                         "--config", str(path), "--out", str(model)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config file {path} must hold a JSON object\n"
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         s0, s1, _ = _simulate(tmp_path, n0=150, n1=150)
         cfg = tmp_path / "cfg.json"
@@ -844,6 +858,68 @@ class TestConfigAndErrors:
     def test_no_command_prints_help(self, capsys):
         assert dispatch([]) == 0
         assert "usage: batts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fit", "bayes", "simulate", "bench"])
+    def test_help_shows_the_seed_default(self, capsys, command):
+        """--help exits through argparse's SystemExit, which dispatch turns
+        into its return code."""
+        assert dispatch([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        seed = [line for line in lines if line.strip().startswith("--seed")]
+        assert len(seed) == 1 and seed[0].endswith("(default: 0)")
+
+
+def _write_samples(tmp_path, data):
+    s0, s1 = tmp_path / "s0.csv", tmp_path / "s1.csv"
+    save_matrix(s0, data.sample0)
+    save_matrix(s1, data.sample1)
+    return s0, s1
+
+
+class TestUnusableSamples:
+    """Samples that load but cannot be fitted fail with one line, before any
+    work that they would make pointless."""
+
+    @staticmethod
+    def _fit_shifted(tmp_path, s, extra):
+        """batts fit on 2-D samples of 2000 rows from N(0, I) and N(s * 1, I)."""
+        gen = np.random.default_rng(0)
+        data = TwoSampleDataset(gen.standard_normal((2000, 2)),
+                                gen.standard_normal((2000, 2)) + s)
+        s0, s1 = _write_samples(tmp_path, data)
+        return dispatch(["fit", "--sample0", str(s0), "--sample1", str(s1), "--max-trees", "20",
+                         *extra, "--out", str(tmp_path / "model.json")])
+
+    @pytest.mark.parametrize("extra", [[], ["--no-cv"]])
+    @pytest.mark.parametrize("s", [7, 8])
+    def test_separable_samples_refused_by_fit(self, tmp_path, capsys, s, extra):
+        assert self._fit_shifted(tmp_path, s, extra) == 1
+        assert capsys.readouterr().err == (
+            "error: no cut leaves rows of both groups and min_leaf_total (5) rows on each "
+            "side: the samples overlap too little to split\n")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--no-cv"]])
+    def test_partly_overlapping_samples_fit(self, tmp_path, capsys, extra):
+        assert self._fit_shifted(tmp_path, 6, extra) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "bayes"])
+    def test_constant_column_refused_before_work(self, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(boost, "fit", never)
+        monkeypatch.setattr(gibbs, "run_sampler", never)
+        data = TwoSampleDataset(np.array([[1.0, 5.0], [1.0, 6.0]]), np.array([[1.0, 7.0]]))
+        s0, s1 = _write_samples(tmp_path, data)
+        out = tmp_path / "out"
+        code = dispatch([command, "--sample0", str(s0), "--sample1", str(s1), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: constant column 0: zero range over the pooled sample\n")
+        assert not out.exists()
 
 
 class TestPointWidth:

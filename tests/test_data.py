@@ -22,6 +22,20 @@ class TestTwoSampleDataset:
         with pytest.raises(ValueError):
             d.sample0[0, 0] = 1.0
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        a, b = np.zeros((2, 2)), np.ones((3, 2))
+        d = TwoSampleDataset(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not d.sample0.flags.writeable and not d.sample1.flags.writeable
+        a[0, 0] = 5.0
+        b[1, 1] = 5.0
+        np.testing.assert_array_equal(d.sample0, np.zeros((2, 2)))
+        np.testing.assert_array_equal(d.sample1, np.ones((3, 2)))
+
+    def test_one_dimensional_sample_rejected(self):
+        with pytest.raises(DataError, match="^samples must be 2-dimensional arrays$"):
+            TwoSampleDataset(np.zeros(3), np.zeros((2, 1)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension mismatch"):
             TwoSampleDataset(np.zeros((2, 2)), np.zeros((2, 3)))
@@ -81,6 +95,13 @@ class TestCutGrid:
         g2 = build_cut_grid(TwoSampleDataset(s0[perm], s1), 9)
         for a, b in zip(g1.cuts, g2.cuts):
             np.testing.assert_array_equal(a, b)
+
+    def test_callers_cuts_stay_writable_and_apart(self):
+        cuts = np.array([1.0, 2.0])
+        grid = CutGrid((cuts,))
+        assert cuts.flags.writeable and not grid.cuts[0].flags.writeable
+        cuts[0] = 0.5
+        np.testing.assert_array_equal(grid.cuts[0], [1.0, 2.0])
 
     def test_non_increasing_cuts_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
@@ -208,6 +229,23 @@ class TestCsvIo:
         with pytest.raises(DataError, match="non-numeric cell at row 0, col 1"):
             load_matrix(tmp_path / "a.csv")
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        (tmp_path / "a.csv").write_text("\n1.0,2.0\n\n  \n3.0,4.0\n\n")
+        np.testing.assert_array_equal(load_matrix(tmp_path / "a.csv"), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_counts_file_lines(self, tmp_path, cell):
+        """The row is the file line, as for a ragged or non-numeric row,
+        blank lines included."""
+        path = tmp_path / "a.csv"
+        path.write_text(f"1,2\n\n{cell},3\n")
+        with pytest.raises(DataError) as e:
+            load_matrix(path)
+        assert str(e.value) == f"non-finite value at row 2, col 0 in {path}"
+        path.write_text("1,2\n\nx,3\n")
+        with pytest.raises(DataError, match="^non-numeric cell at row 2, col 0 in "):
+            load_matrix(path)
+
     def test_not_utf8_names_the_file(self, tmp_path):
         """The bad byte sits past the first chunk the reader decodes."""
         path = tmp_path / "a.csv"
@@ -222,7 +260,12 @@ class TestCsvIo:
             load_matrix(tmp_path / "a.csv")
 
     def test_constant_column_at_load(self, tmp_path):
+        """A constant column is valid data, so it loads; only the cut grid,
+        which needs a pooled range, refuses it (batts fit and bayes build the
+        grid before any work: see test_cli)."""
         (tmp_path / "a.csv").write_text("1.0,5.0\n1.0,6.0\n")
         (tmp_path / "b.csv").write_text("1.0,7.0\n")
-        with pytest.raises(DataError, match="constant column 0"):
-            load_dataset(tmp_path / "a.csv", tmp_path / "b.csv")
+        d = load_dataset(tmp_path / "a.csv", tmp_path / "b.csv")
+        np.testing.assert_array_equal(d.sample0[:, 0], [1.0, 1.0])
+        with pytest.raises(DataError, match="^constant column 0: zero range over the pooled sample$"):
+            build_cut_grid(d)

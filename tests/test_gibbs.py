@@ -372,6 +372,36 @@ class TestGibbsConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             GibbsConfig(**{name: True})
 
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None],
+                             ids=["bool", "numpy-bool", "string", "None"])
+    @pytest.mark.parametrize("name, message", [
+        *[(name, f"{name} must be an integer") for name in ("n_trees", "burn_in", "draws", "seed")],
+        ("lambda0", "lambda0 must be positive and finite"),
+    ])
+    def test_non_number_is_a_one_line_error(self, name, message, value):
+        with pytest.raises(ValueError) as e:
+            GibbsConfig(**{name: value})
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_trees": 0}, "n_trees must be >= 2"),
+        ({"n_trees": 3}, "n_trees must be even (prior alternation needs pairs)"),
+        ({"burn_in": -1}, "burn_in must be >= 0"),
+        ({"draws": 0}, "draws must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_bound_messages_name_the_field(self, kwargs, message):
+        with pytest.raises(ValueError) as e:
+            GibbsConfig(**kwargs)
+        assert str(e.value) == message
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        c = GibbsConfig(n_trees=np.int64(10), lambda0=np.float32(2.5), burn_in=np.int32(0),
+                        draws=np.uint16(1), seed=np.int64(7))
+        assert [type(v) for v in (c.n_trees, c.burn_in, c.draws, c.seed)] == [int] * 4
+        assert (c.n_trees, c.burn_in, c.draws, c.seed) == (10, 0, 1, 7)
+        assert type(c.lambda0) is float and c.lambda0 == 2.5
+
     def test_leaf_precision(self):
         assert GibbsConfig(n_trees=50, lambda0=5.0).leaf_precision == 250.0
 

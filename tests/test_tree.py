@@ -126,6 +126,17 @@ class TestPrior:
         with pytest.raises(ValueError):
             split_probability(TreePrior(), -1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"a_T": "0.5"}, "a_T must lie in (0, 1)"),
+        ({"a_T": np.True_}, "a_T must lie in (0, 1)"),
+        ({"b_T": "2"}, "b_T must be >= 0 and finite"),
+        ({"b_T": True}, "b_T must be >= 0 and finite"),
+    ])
+    def test_non_number_is_a_one_line_error(self, kwargs, message):
+        with pytest.raises(ValueError) as e:
+            TreePrior(**kwargs)
+        assert str(e.value) == message
+
     def test_sampled_trees_match_root_split_rate(self):
         grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
         gen = np.random.default_rng(11)

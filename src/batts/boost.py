@@ -4,13 +4,13 @@ with shrinkage, one-group pruning, and cross-validated tree-count selection."""
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CutGrid, TwoSampleDataset, utf8_fault
-from .loss import (check_log_weights, finite_sample_loss, optimal_leaf_loss,
-                   optimal_leaf_value, rebalance, row_masses)
+from .loss import Stack, check_log_weights, optimal_leaf_loss, optimal_leaf_value
 from .tree import DecisionTree, json_float, json_int, node_hook, setting_int, setting_number
 
 _LOSS_SLACK = 1e-12
@@ -24,6 +24,12 @@ _LOSS_SLACK = 1e-12
 # made the fits about 20% and 30% slower: its extra numpy calls cost more
 # than the binning they save.
 _SUBTRACT_KEYS = 2**15
+
+# CV stops once this many steps have brought no strictly lower fold-averaged
+# loss (Prechelt, "Early stopping -- but when?", 1998). At 50, the stop keeps
+# the argmin of the full 1000-tree curve on the default fits measured (see
+# README).
+PATIENCE = 50
 
 
 @dataclass
@@ -55,7 +61,8 @@ class EnsembleModel:
     """
 
     def __init__(self, trees, learning_rate: float, offset: float, algorithm: str,
-                 dim: int, seed: int = 0, train_loss_path: np.ndarray | None = None):
+                 dim: int, seed: int = 0, train_loss_path: np.ndarray | None = None,
+                 cv_loss_curve: np.ndarray | None = None):
         self.starts = np.cumsum([0] + [t.feature.size for t in trees])
         self.feature = np.concatenate([t.feature for t in trees] or [np.empty(0, np.int32)])
         self.right = np.concatenate([t.right for t in trees] or [np.empty(0, np.int32)])
@@ -66,7 +73,9 @@ class EnsembleModel:
         self.algorithm = algorithm
         self.dim = int(dim)
         self.seed = int(seed)
+        # a fit's record, which save does not write
         self.train_loss_path = train_loss_path
+        self.cv_loss_curve = cv_loss_curve
 
     @property
     def trees(self) -> list:
@@ -206,7 +215,7 @@ class _Grower:
 
     def __init__(self, members, cuts, max_depth, min_leaf_total, algorithm):
         self.width = max(len(c) for c in cuts) + 1
-        self.keys, counts, self.slots, self.rows, self.train0 = _stack(members, self.width)
+        self.keys, counts, self.slots, self.flat, self.train0 = _stack(members, self.width)
         # each depth's live keys and repeated weights are written here, not
         # into fresh arrays: in 20-D those are hundreds of KB, and the
         # allocator hands such pages back and faults them in again each depth
@@ -228,9 +237,10 @@ class _Grower:
         self.root_counts = hist, self._split_counts(np.cumsum(hist, axis=3), self.members)
 
     def grow(self, masses):
-        """Returns (levels, [(contrib0, contrib1) per member]): every
-        member's nodes, one (dim, value, child) record per depth (see _tree),
-        and the leaf betas of each member's cells in each group.
+        """Returns (levels, contrib): every member's nodes, one (dim, value,
+        child) record per depth (see _levels), and the leaf beta of every
+        member's cells in the members' own order: group 0's cells member by
+        member, then group 1's (see loss.Stack).
 
         masses holds loss.row_masses on the stack's training cells: every
         member's group-0 masses, member by member, then their group-1 masses.
@@ -274,7 +284,7 @@ class _Grower:
             right = self.keys[live, dim[slot]] % self.width > cut[slot]
             slot = child_slot[slot] + right
             nodes = 2 * (nodes - int(np.count_nonzero(leaf)))
-        return levels, [(contrib[r0], contrib[r1]) for r0, r1 in self.rows]
+        return levels, contrib.take(self.flat)
 
     def search(self, live, slot, w, p, q, nodes, root, parents=None):
         """The best split of each of the depth's nodes, as (dim, cut) arrays
@@ -418,10 +428,10 @@ def _unit(counts):
 
 def _stack(members, width):
     """Every member's cells of both groups on one stack (see _Grower), as
-    (keys, training counts, slots, rows, train0): keys holds each stacked
-    cell's bins offset by its group and dimension, slots its member, rows[m]
-    the stack indices of member m's group-0 and group-1 cells in its order,
-    and train0 the number of group-0 training cells."""
+    (keys, training counts, slots, flat, train0): keys holds each stacked
+    cell's bins offset by its group and dimension, slots its member, flat
+    the stack index of every member's cells in the members' own order (see
+    _Grower.grow), and train0 the number of group-0 training cells."""
     bins0, counts0, bins1, counts1 = zip(*members)
     sizes = [c.size for c in counts0 + counts1]
     counts = np.concatenate(counts0 + counts1)
@@ -430,87 +440,131 @@ def _stack(members, width):
     keys = np.concatenate(bins0 + bins1) + (group[:, None] * dims + np.arange(dims)) * width
     order = np.argsort(counts == 0, kind="stable")
     slots = np.repeat(np.tile(np.arange(len(members)), 2), sizes)[order]
-    rows = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
-    return (keys[order], counts[order[:np.count_nonzero(counts)]], slots,
-            list(zip(rows[:len(members)], rows[len(members):])),
+    return (keys[order], counts[order[:np.count_nonzero(counts)]], slots, np.argsort(order),
             sum(np.count_nonzero(c) for c in counts0))
 
 
-def _tree(levels, m: int, dim: int) -> DecisionTree:
+def _levels(levels, m: int):
     """Member m's tree out of _Grower.grow's levels, each holding its nodes'
     split dimension (-1 at a leaf), threshold or beta, and first child's slot
-    in the next level. They become tree._node's tuples, deepest level first,
-    for DecisionTree.from_dict, the walker of model files."""
-    below = []
-    for dims, values, child in reversed(levels):
-        below = [(v,) if d < 0 else (d, v, below[c], below[c + 1])
-                 for d, v, c in zip(dims.tolist(), values.tolist(), child.tolist())]
-    return DecisionTree.from_dict(below[m], dim)
+    in the next level: one array of its nodes' dims, level by level, and
+    then of their values, which is all a CV run keeps of a tree. A member's
+    nodes are a run of slots at each depth, beginning with its root's slot
+    m, and the children of a run's split nodes are the next depth's run, in
+    their parents' order."""
+    dims, values, a, b = [], [], m, m + 1
+    for d, v, child in levels:
+        dims.append(d[a:b])
+        values.append(v[a:b])
+        # a split node's children start at its child slot, a leaf's would
+        # two slots on
+        a, b = child.item(a) + 2 * (d.item(a) < 0), child.item(b - 1) + 2
+        if a == b:
+            break
+    return np.concatenate(dims + values)
 
 
-def _boost(members, cuts, config: BoostConfig, n_trees: int):
+def _nodes(tree) -> tuple:
+    """A tree as _levels gives it, as tree._node's tuples, which
+    DecisionTree.from_dict reads. Walked from its last node back, each
+    depth's nodes are built right to left after the next depth's, and the
+    queue's front holds the children of the rightmost split not yet built."""
+    n = tree.size // 2
+    built = deque()
+    for d, v in zip(reversed(tree[:n].astype(np.int64).tolist()), reversed(tree[n:].tolist())):
+        if d < 0:
+            built.append((v,))
+        else:
+            right = built.popleft()
+            built.append((d, v, built.popleft(), right))
+    return built[0]
+
+
+def _tree(levels, m: int, dim: int) -> DecisionTree:
+    """Member m's tree out of _Grower.grow's levels (see _levels)."""
+    return DecisionTree.from_dict(_nodes(_levels(levels, m)), dim)
+
+
+def _boost(members, cuts, config: BoostConfig, n_trees: int, refit: bool = False):
     """Yields, after each of n_trees steps, (levels, [(log_c, loss, logw0,
-    logw1) per member]), where levels holds the step's trees (see _tree).
+    logw1) per member]), where levels holds the step's trees (see _levels).
 
     A member is one boosting run, given as (bins0, counts0, bins1, counts1):
     its cells and their training row counts. Cells with no training rows,
     which must come last, get a log w from their leaves but weigh nothing in
     the fit. One _Grower.grow call grows the step's tree of every member.
     Each member's shrunken update is followed by its rebalance shift log_c;
-    its training loss must never increase. A member keeps one log w per
-    cell, updated in place, and its cells' training row counts weight it in
-    the masses and the rebalance (see loss.row_masses). These run per member
-    on its own arrays, so a member's trees and log w are bit for bit those
-    of a run on its own.
+    its training loss must never increase.
+
+    All members' log w per cell are kept in one flat array laid out as a
+    loss.Stack, updated in place; logw0 and logw1 are views of a member's
+    part of it. The masses, the update, the shift and the divergence check
+    run once per step over the whole stack, and each member's sums over its
+    own cells (see loss.Stack), so a member's trees and log w are bit for
+    bit those of a run on its own.
+
+    A run refuses at once when no member's root can split. With refit, the
+    last member is the full sample, fitted beside the folds of the members
+    before it; only the folds decide the refusal, as in a CV run on its own.
     """
     grower = _Grower(members, cuts, config.max_depth, config.min_leaf_total,
                      config.algorithm)
     # a split's validity reads row counts alone, so a root without a valid
     # split stays a leaf in every tree of the run
-    if not grower.root_counts[1][1].any():
+    if not grower.root_counts[1][1][:len(members) - refit].any():
         raise ValueError("no cut leaves rows of both groups and min_leaf_total "
                          f"({config.min_leaf_total}) rows on each side: the samples "
                          "overlap too little to split")
-    runs = []
-    for _, k0, _, k1 in members:
-        n0, n1 = np.count_nonzero(k0), np.count_nonzero(k1)
-        w0, w1 = np.zeros(k0.size), np.zeros(k1.size)
-        runs.append((w0, w1, w0[:n0], w1[:n1], _unit(k0[:n0]), _unit(k1[:n1])))
+    n = len(members)
+    _, counts0, _, counts1 = zip(*members)
+    sizes = np.array([c.size for c in counts0 + counts1])
+    # the training cells, in stack order: each member's prefix of each group
+    training = Stack(*([c[:np.count_nonzero(c)] for c in g] for g in (counts0, counts1)))
+    train = np.flatnonzero(np.concatenate(counts0 + counts1))
+    # the grower and the stack hold copies of what the run needs of the
+    # members, so a caller that keeps no reference frees them for the run
+    del members, counts0, counts1
+    logw = np.zeros(sizes.sum())
+    parts = np.split(logw, np.cumsum(sizes)[:-1])
     nu = config.learning_rate
-    last = [2.0] * len(members)
+    last = [2.0] * n
     for _ in range(n_trees):
-        m0, m1 = zip(*[row_masses(t0, t1, c0, c1) for _, _, t0, t1, c0, c1 in runs])
-        levels, contribs = grower.grow(np.concatenate(m0 + m1))
-        steps = []
-        for m, ((f0, f1), (w0, w1, t0, t1, c0, c1)) in enumerate(zip(contribs, runs)):
-            w0 += nu * f0
-            w1 += nu * f1
-            log_c, loss = rebalance(t0, t1, c0, c1)
-            w0 += log_c
-            w1 += log_c
-            check_log_weights(t0, t1)
-            if loss > last[m] + _LOSS_SLACK:
-                raise AssertionError(f"training loss increased: {last[m]!r} -> {loss!r}")
-            last[m] = loss
-            steps.append((log_c, loss, w0, w1))
-        yield levels, steps
+        levels, contrib = grower.grow(training.masses(logw.take(train)))
+        contrib *= nu
+        logw += contrib
+        log_c, loss = training.rebalance(logw.take(train))
+        logw += np.repeat(np.concatenate((log_c, log_c)), sizes)
+        check_log_weights(logw.take(train))
+        losses = loss.tolist()
+        for before, after in zip(last, losses):
+            if after > before + _LOSS_SLACK:
+                raise AssertionError(f"training loss increased: {before!r} -> {after!r}")
+        last = losses
+        yield levels, list(zip(log_c.tolist(), losses, parts[:n], parts[n:]))
+
+
+def _model(steps, data: TwoSampleDataset, config: BoostConfig, curve=None) -> EnsembleModel:
+    """The model of a run's steps, each the full sample's (tree, log_c,
+    loss); the offset adds the rebalance shifts in order."""
+    trees, offset, losses = [], 0.0, [2.0]
+    for tree, log_c, loss in steps:
+        trees.append(tree)
+        offset += log_c
+        losses.append(loss)
+    return EnsembleModel(trees, learning_rate=config.learning_rate, offset=offset,
+                         algorithm=config.algorithm, dim=data.dim, seed=config.seed,
+                         train_loss_path=np.asarray(losses), cv_loss_curve=curve)
 
 
 def _fit_boost(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
                n_trees: int) -> EnsembleModel:
     """n_trees trees of _boost on the full sample's cells, as its one
-    member; the offset accumulates the rebalance shifts."""
+    member."""
     bins0, _, counts0 = _cells(grid, data.sample0)
     bins1, _, counts1 = _cells(grid, data.sample1)
-    trees, offset, losses = [], 0.0, [2.0]
-    for levels, [(log_c, loss, _, _)] in _boost([(bins0, counts0, bins1, counts1)],
-                                                grid.cuts, config, n_trees):
-        trees.append(_tree(levels, 0, data.dim))
-        offset += log_c
-        losses.append(loss)
-    return EnsembleModel(trees, learning_rate=config.learning_rate, offset=offset,
-                         algorithm=config.algorithm, dim=data.dim, seed=config.seed,
-                         train_loss_path=np.asarray(losses))
+    steps = _boost([(bins0, counts0, bins1, counts1)], grid.cuts, config, n_trees)
+    return _model([(_tree(levels, 0, data.dim), log_c, loss)
+                   for levels, [(log_c, loss, _, _)] in steps], data, config)
 
 
 def _fold(bins, inverse, counts, held_rows):
@@ -522,17 +576,10 @@ def _fold(bins, inverse, counts, held_rows):
     return bins[order], (counts - held)[order], held[order]
 
 
-def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
-                  config: BoostConfig) -> np.ndarray:
-    """Fold-averaged held-out loss after 0..max_trees trees.
-
-    Each group is mapped to its cells once. A fold is boosted on the cells'
-    training counts, the full counts minus its held-out counts; its cells
-    without training rows are routed through its splits too, so every cell
-    has the fold's log w, and the held-out loss weights it by the cells'
-    held-out counts. The folds are the members of one _boost run, so each
-    split search covers a depth of every fold's tree. Only the log w is
-    read, so no fold's tree is built."""
+def _cv_members(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig, refit: bool):
+    """(members, held): the members of a CV run (see _cv), and a loss.Stack
+    of the folds' held-out counts. The cell maps and fold indices made here
+    are freed before the run starts."""
     if data.n0 < config.cv_folds or data.n1 < config.cv_folds:
         raise ValueError("each group needs at least cv_folds observations")
     rng = np.random.default_rng(config.seed)
@@ -543,18 +590,65 @@ def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
     folds = [_fold(bins0, inverse0, counts0, held0) + _fold(bins1, inverse1, counts1, held1)
              for held0, held1 in zip(folds0, folds1)]
     members = [(b0, train0, b1, train1) for b0, train0, _, b1, train1, _ in folds]
-    curves = np.full((config.cv_folds, config.max_trees + 1), 2.0)
-    steps = _boost(members, grid.cuts, config, config.max_trees)
-    for k, (_, step) in enumerate(steps, start=1):
-        for f, ((*_, logw0, logw1), (_, _, held0, _, _, held1)) in enumerate(zip(step, folds)):
-            curves[f, k] = finite_sample_loss(logw0, logw1, held0, held1)
-    return curves.mean(axis=0)
+    if refit:
+        members.append((bins0, counts0, bins1, counts1))
+    return members, Stack([h0 for *_, h0, _, _, _ in folds], [h1 for *_, h1 in folds])
+
+
+def _cv(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig, refit: bool):
+    """(curve, kept): the fold-averaged held-out loss after 0, 1, ... trees,
+    and with refit the full sample's (tree, log_c, loss) of each step (see
+    _levels), all of one _boost run. The run stops after max_trees steps,
+    or once PATIENCE steps in a row have brought no strictly lower curve
+    value.
+
+    Each group is mapped to its cells once. A fold is boosted on the cells'
+    training counts, the full counts minus its held-out counts; its cells
+    without training rows are routed through its splits too, so every cell
+    has the fold's log w, and the held-out loss weights it by the cells'
+    held-out counts. The folds, and with refit the full sample after them,
+    are the members of one _boost run, so each split search covers a depth
+    of every member's tree. Each step's held-out losses of all folds are
+    one loss.Stack pass, and they are averaged in fold order. Only the full
+    sample's trees are kept, each as the one array of _levels."""
+    folds = config.cv_folds
+    members, held = _cv_members(data, grid, config, refit)
+    steps = _boost(members, grid.cuts, config, config.max_trees, refit)
+    del members  # see _boost
+    curve, best, kept = [2.0], 0, []
+    for k, (levels, step) in enumerate(steps, start=1):
+        e0, e1 = held.means(np.concatenate([w0 for *_, w0, _ in step[:folds]]
+                                           + [w1 for *_, w1 in step[:folds]]))
+        total = 0.0
+        for loss in (e0 + e1).tolist():
+            total += loss
+        curve.append(total / folds)
+        if refit:
+            kept.append((_levels(levels, folds), *step[-1][:2]))
+        if curve[k] < curve[best]:
+            best = k
+        elif k - best >= PATIENCE:
+            break
+    return np.array(curve), kept
+
+
+def cv_loss_curve(data: TwoSampleDataset, grid: CutGrid,
+                  config: BoostConfig) -> np.ndarray:
+    """Fold-averaged held-out loss after 0, 1, ... trees: max_trees + 1
+    values, or fewer where the run stopped by patience, PATIENCE steps after
+    its minimum (see _cv). No fold's tree is built."""
+    return _cv(data, grid, config, refit=False)[0]
 
 
 def fit(data: TwoSampleDataset, grid: CutGrid, config: BoostConfig,
         select: bool = True) -> EnsembleModel:
-    """Fit with the configured algorithm; when select is true, choose the
-    tree count minimizing the fold-averaged held-out loss, and refit on the
-    full sample."""
-    k = int(np.argmin(cv_loss_curve(data, grid, config))) if select else config.max_trees
-    return _fit_boost(data, grid, config, k)
+    """Fit with the configured algorithm. When select is true, the tree count
+    k is the first minimum of the fold-averaged held-out loss (see
+    cv_loss_curve), and the model is the first k trees of the full sample,
+    boosted beside the folds in the same run; the model keeps the curve as
+    cv_loss_curve. Else the model has max_trees trees."""
+    if not select:
+        return _fit_boost(data, grid, config, config.max_trees)
+    curve, kept = _cv(data, grid, config, refit=True)
+    return _model([(DecisionTree.from_dict(_nodes(tree), data.dim), log_c, loss)
+                   for tree, log_c, loss in kept[:int(np.argmin(curve))]], data, config, curve)

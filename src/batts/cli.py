@@ -219,7 +219,9 @@ def _cmd_fit(args) -> int:
     grid = build_cut_grid(data, args.cuts_per_dim)
     model = boost.fit(data, grid, config, select=not args.no_cv)
     model.save(args.out)
-    print(f"fit {args.algo} with {len(model.trees)} trees -> {args.out}")
+    curve = model.cv_loss_curve
+    stop = "" if curve is None else f" (CV stopped at {curve.size - 1} of {config.max_trees})"
+    print(f"fit {args.algo} with {len(model.trees)} trees{stop} -> {args.out}")
     return 0
 
 

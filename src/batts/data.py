@@ -185,8 +185,9 @@ def save_matrix(path, a: np.ndarray) -> None:
     """Write a matrix as headerless CSV with round-trip-exact floats."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     with open(path, "w") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        # tolist gives Python floats, whose repr is the shortest round-trip form
+        for row in a.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_dataset(path0, path1) -> TwoSampleDataset:

@@ -173,11 +173,19 @@ def setting_int(name: str, value, low: int) -> int:
 
 
 def setting_number(name: str, value, inside, bounds: str) -> float:
-    """A numeric setting as a float: a real number, not a bool, for which
-    inside is true (and false for NaN); else ValueError "{name} must {bounds}"."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not inside(value):
+    """A numeric setting as a float: a real number, not a bool, whose float
+    value passes inside (which is false for NaN); else ValueError "{name}
+    must {bounds}". An integer too large for a float is refused the same
+    way."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not inside(number):
         raise ValueError(f"{name} must {bounds}")
-    return float(value)
+    return number
 
 
 def _to_dict(feature, right, value, i) -> dict:

@@ -45,15 +45,15 @@ def test_every_site_resolves(tracing):
 
 def test_one_boost_log_weight_check_per_grown_tree(tracing):
     """boost.tree_ms times the gaps between the boost-side check_log_weights
-    calls, so a fit with selection makes one per tree of every fold and of
-    the refit."""
+    calls, so a fit with selection makes one per step of its one run, which
+    grows a tree of every fold and of the full sample."""
     data = generate(make_scenario("GlobalShift2D"), 150, 150, seed=1)
     grid = build_cut_grid(data, 15)
     config = BoostConfig(max_trees=8, cv_folds=3, seed=1)
     tracer = tracing.Tracer(batts)
     model = tracer.run(lambda: fit(data, grid, config, select=True))
     checks = tracer.starts("loss.check_log_weights", "boost")
-    assert checks.size == config.cv_folds * config.max_trees + len(model.trees)
+    assert checks.size == model.cv_loss_curve.size - 1 == config.max_trees
 
 
 def _split_hit_ratio_of_arrays(trees, max_depth):

@@ -528,7 +528,8 @@ class TestCellFit:
         logw0, logw1 = np.zeros(data.n0), np.zeros(data.n1)
         trees, offset, losses = [], 0.0, [2.0]
         for _ in range(n_trees):
-            levels, [(c0, c1)] = grower.grow(np.concatenate(row_masses(logw0, logw1)))
+            levels, contrib = grower.grow(np.concatenate(row_masses(logw0, logw1)))
+            c0, c1 = np.split(contrib, [data.n0])
             logw0 += config.learning_rate * c0
             logw1 += config.learning_rate * c1
             log_c, loss = rebalance(logw0, logw1)
@@ -815,11 +816,13 @@ class TestHistogramSubtraction:
 
     def test_default_constant_at_the_benchmark_sizes(self, monkeypatch):
         """The 2-D sizes of the gb_cv_2d workload (GlobalShift2D 2500/2500,
-        5-fold CV) and of the predict_batch set-up fit (2000/2000, no CV)
-        never subtract; the fs_20d size (LatentLocation20D 4500/500) does."""
-        # 31 cuts per dimension give at most 32**2 cells per group in 2-D,
-        # and a depth's live keys never exceed its root's
-        assert 5 * 2 * 32**2 * 2 < boost._SUBTRACT_KEYS
+        5-fold CV beside the full sample) and of the predict_batch set-up fit
+        (2000/2000, no CV) never subtract; the fs_20d size
+        (LatentLocation20D 4500/500) does."""
+        # 31 cuts per dimension give at most 32**2 cells per group in 2-D for
+        # each of the six members, and a depth's live keys never exceed its
+        # root's
+        assert 6 * 2 * 32**2 * 2 < boost._SUBTRACT_KEYS
         calls = []
         siblings = boost._siblings
         monkeypatch.setattr(boost, "_siblings", lambda *a: calls.append(1) or siblings(*a))
@@ -895,7 +898,8 @@ class TestCrossValidation:
 
     def test_bins_each_group_once_and_routes_no_rows(self, shifted_2d, monkeypatch):
         """The folds share one cell map of each group, and the held-out
-        loss needs no routing of held-out rows."""
+        loss needs no routing of held-out rows; a fit with selection boosts
+        the full sample on that map too."""
         data, grid = shifted_2d
         calls = []
         for owner, name in ((CutGrid, "bin_indices"), (DecisionTree, "evaluate_many")):
@@ -904,6 +908,9 @@ class TestCrossValidation:
                 return _raw(*args)
             monkeypatch.setattr(owner, name, counted)
         cv_loss_curve(data, grid, BoostConfig(max_trees=5, cv_folds=3))
+        assert calls == ["bin_indices", "bin_indices"]
+        calls.clear()
+        fit(data, grid, BoostConfig(max_trees=5, cv_folds=3), select=True)
         assert calls == ["bin_indices", "bin_indices"]
 
     def test_builds_only_the_refit_trees(self, shifted_2d, monkeypatch):
@@ -924,6 +931,83 @@ class TestCrossValidation:
         model = fit(data, grid, config, select=True)
         assert len(built) == k
         assert model.starts.size == k + 1
+
+    @pytest.mark.parametrize("case", ["GlobalShift2D", "LatentLocation20D"])
+    @pytest.mark.parametrize("subtract_keys", [0, TestHistogramSubtraction.NEVER])
+    def test_selected_model_equals_a_fit_of_k_trees(self, case, subtract_keys, monkeypatch):
+        """fit with selection boosts the full sample as the last member of
+        the CV run. Its model is, bit for bit, _fit_boost's k-tree model, and
+        its curve is cv_loss_curve's, as long as both runs take the
+        histograms the same way (see boost._SUBTRACT_KEYS)."""
+        monkeypatch.setattr(boost, "_SUBTRACT_KEYS", subtract_keys)
+        data = generate(make_scenario(case), 600, 400, seed=3)
+        grid = build_cut_grid(data, 31)
+        config = BoostConfig(algorithm="gb", max_trees=20, seed=3)
+        model = fit(data, grid, config, select=True)
+        k = len(model.trees)
+        np.testing.assert_array_equal(model.cv_loss_curve, cv_loss_curve(data, grid, config))
+        assert k == np.argmin(model.cv_loss_curve) > 0
+        want = _fit_boost(data, grid, config, k)
+        for name in ("starts", "feature", "right", "value", "train_loss_path"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(want, name))
+        assert model.offset == want.offset
+
+    @pytest.mark.parametrize("dip, stop", [(None, 60), (40, 90)])
+    def test_patience_stops_fifty_steps_after_the_minimum(self, shifted_2d, monkeypatch,
+                                                          dip, stop):
+        """The folds' held-out losses are scripted: a curve that falls for
+        10 steps, stays flat at its minimum for 90 and falls again at step
+        101 stops at step 60, since a value equal to the minimum is no new
+        one, and the later dip is never reached. A dip at step 40, within
+        the patience, moves the stop to step 90. The values are dyadic, so
+        the fold average is exact."""
+        data, grid = shifted_2d
+        curve = [2.0 - min(k, 10) / 64 if k <= 100 else 1.0 for k in range(201)]
+        if dip is not None:
+            curve[dip] = 1.5
+        values = iter(curve[1:])
+
+        class Scripted:
+            def means(self, logw):
+                half = next(values) / 2
+                return np.full(3, half), np.full(3, half)
+
+        members = boost._cv_members
+        monkeypatch.setattr(boost, "_cv_members", lambda *args: (members(*args)[0], Scripted()))
+        assert boost.PATIENCE == 50
+        got = cv_loss_curve(data, grid, BoostConfig(max_trees=200, cv_folds=3))
+        assert got.tolist() == curve[:stop + 1]
+
+    def test_stopped_curve_is_a_prefix_of_the_full_curve(self, null_2d, monkeypatch):
+        """Two halves of one sample: the CV minimum comes early, and the
+        run stops PATIENCE steps after it, with the curve of a run that
+        grows every tree up to there, bit for bit."""
+        data, grid = null_2d
+        config = BoostConfig(max_trees=300, cv_folds=3)
+        curve = cv_loss_curve(data, grid, config)
+        monkeypatch.setattr(boost, "PATIENCE", config.max_trees)
+        full = cv_loss_curve(data, grid, config)
+        assert full.size == config.max_trees + 1 > curve.size
+        assert curve.size - 1 == np.argmin(curve) + 50 == np.argmin(full) + 50
+        np.testing.assert_array_equal(curve, full[:curve.size])
+
+    def test_a_run_whose_folds_cannot_split_refuses(self):
+        """Group 0 sits at x = 0 and group 1 at x = 10, but for one row of
+        each at the other's place. Each of the two folds holds out one of
+        those rows, so no fold's root can split, while the full sample's
+        can. The fit with selection refuses, as cross-validation alone
+        does, though the full sample rides in the same run."""
+        s0, s1 = np.zeros((21, 1)), np.full((21, 1), 10.0)
+        s0[20], s1[20] = 10.0, 0.0
+        data = TwoSampleDataset(s0, s1)
+        grid = build_cut_grid(data, 7)
+        config = BoostConfig(max_trees=20, cv_folds=2, seed=2)
+        message = "^no cut leaves rows of both groups"
+        with pytest.raises(ValueError, match=message):
+            cv_loss_curve(data, grid, config)
+        assert fit(data, grid, config, select=False).trees[0].n_leaves() == 2
+        with pytest.raises(ValueError, match=message):
+            fit(data, grid, config, select=True)
 
     @staticmethod
     def _folds(data, grid, config):

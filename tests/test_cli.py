@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -87,6 +88,26 @@ class TestFitPredictEvaluate:
         n = int(capsys.readouterr().out.split("with ")[1].split(" trees")[0])
         assert 1 <= n <= 30
 
+    def test_fit_says_where_cv_stopped(self, tmp_path, capsys):
+        """Two samples of one distribution: the CV minimum comes early, and
+        the run stops PATIENCE trees after it, well before --max-trees."""
+        gen = np.random.default_rng(5)
+        s0, s1 = tmp_path / "s0.csv", tmp_path / "s1.csv"
+        for path in (s0, s1):
+            save_matrix(path, gen.standard_normal((200, 2)))
+        model = tmp_path / "model.json"
+        argv = ["fit", "--sample0", str(s0), "--sample1", str(s1), "--max-trees", "300",
+                "--cv-folds", "3", "--cuts-per-dim", "7", "--out", str(model)]
+        assert dispatch(argv) == 0
+        line = capsys.readouterr().out
+        match = re.fullmatch(rf"fit gb with (\d+) trees \(CV stopped at (\d+) of 300\) "
+                             rf"-> {re.escape(str(model))}\n", line)
+        assert match, line
+        k, stop = map(int, match.groups())
+        assert stop == k + boost.PATIENCE < 300
+        assert dispatch([*argv, "--no-cv"]) == 0
+        assert capsys.readouterr().out == f"fit gb with 300 trees -> {model}\n"
+
 
 class TestDeterminism:
     """README: identical configuration and seed give byte-identical outputs."""
@@ -168,6 +189,19 @@ class TestBayesCommand:
                          "--sample1", str(s1), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: burn_in must be an integer\n"
+        assert not out.exists()
+
+    def test_integer_too_large_for_a_float_in_config_is_one_line_error(self, tmp_path, capsys):
+        """JSON reads a 400-digit lambda0 as an int, which passes the range
+        test against math.inf but overflows float()."""
+        s0, s1, _ = _simulate(tmp_path, n0=80, n1=80)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda0": 1' + "0" * 400 + "}")
+        out = tmp_path / "post.csv"
+        code = dispatch(["bayes", "--config", str(cfg), "--sample0", str(s0),
+                         "--sample1", str(s1), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: lambda0 must be positive and finite\n"
         assert not out.exists()
 
 

@@ -204,6 +204,17 @@ class TestCsvIo:
         save_matrix(tmp_path / "m2.csv", b)
         assert (tmp_path / "m.csv").read_text() == (tmp_path / "m2.csv").read_text()
 
+    def test_each_value_is_written_as_its_python_float_repr(self, tmp_path):
+        """Negative zero, the smallest subnormal, a value near the top of
+        the range and 0.1 are written as repr(float(v)) writes them."""
+        a = np.array([[-0.0, 5e-324], [1e308, 0.1], [np.float64(-2.5), 3.0]])
+        path = tmp_path / "m.csv"
+        save_matrix(path, a)
+        assert path.read_text() == "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in a)
+        assert path.read_text().splitlines()[:2] == ["-0.0,5e-324", "1e+308,0.1"]
+        assert np.array_equal(np.signbit(load_matrix(path)), np.signbit(a))
+
     def test_load_dataset(self, tmp_path, rng):
         s0 = rng.standard_normal((10, 2))
         s1 = rng.standard_normal((12, 2))

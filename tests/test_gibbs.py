@@ -395,6 +395,12 @@ class TestGibbsConfig:
             GibbsConfig(**kwargs)
         assert str(e.value) == message
 
+    def test_integer_too_large_for_a_float_names_the_field(self):
+        """10**400 lies below math.inf, but float() of it overflows."""
+        with pytest.raises(ValueError) as e:
+            GibbsConfig(lambda0=10**400)
+        assert str(e.value) == "lambda0 must be positive and finite"
+
     def test_numpy_numbers_are_stored_as_python_numbers(self):
         c = GibbsConfig(n_trees=np.int64(10), lambda0=np.float32(2.5), burn_in=np.int32(0),
                         draws=np.uint16(1), seed=np.int64(7))

@@ -137,6 +137,12 @@ class TestPrior:
             TreePrior(**kwargs)
         assert str(e.value) == message
 
+    def test_integer_too_large_for_a_float_names_the_field(self):
+        """10**400 lies below math.inf, but float() of it overflows."""
+        with pytest.raises(ValueError) as e:
+            TreePrior(b_T=10**400)
+        assert str(e.value) == "b_T must be >= 0 and finite"
+
     def test_sampled_trees_match_root_split_rate(self):
         grid = CutGrid((np.linspace(0.1, 0.9, 9), np.linspace(0.1, 0.9, 9)))
         gen = np.random.default_rng(11)
